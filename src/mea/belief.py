@@ -8,13 +8,12 @@ rule-compiled candidates is a separate pass (see mea.llm).
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .nature import NatureNodeId
+from .nature import NatureNodeId, find_cycle, reachable
 
 PERCEPTION_NODES = frozenset(
     {
@@ -200,52 +199,20 @@ def compile_food_lexicon(dump_path: str | Path, exclusions: Iterable[str] = ()) 
         else:
             lemmas.setdefault(first, []).append(second)
 
-    _check_taxonomy_acyclic(synsets, children)
+    cycle = find_cycle(sorted(synsets), lambda syn: children.get(syn, ()))
+    if cycle:
+        raise TaxonomyCycleError(cycle)
 
     excluded = {normalize_word(w) for w in exclusions}
-    seeds = sorted(s for s, ls in lemmas.items() if any(normalize_word(l) == "food" for l in ls))
-    reachable: set[str] = set()
-    queue = deque(seeds)
-    while queue:
-        syn = queue.popleft()
-        if syn in reachable:
-            continue
-        reachable.add(syn)
-        queue.extend(children.get(syn, ()))
-
+    seeds = [s for s, ls in lemmas.items() if any(normalize_word(l) == "food" for l in ls)]
     out: set[BeliefTuple] = set()
-    for syn in reachable:
+    for syn in reachable(seeds, lambda syn: children.get(syn, ())):
         for lemma in lemmas.get(syn, ()):
             word = normalize_word(lemma)
             if not word or word in excluded:
                 continue
             out.add(BeliefTuple(word, NatureNodeId.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN))
     return out
-
-
-def _check_taxonomy_acyclic(synsets: set[str], children: dict[str, list[str]]) -> None:
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(node: str) -> list[str] | None:
-        state[node] = 1
-        stack.append(node)
-        for child in children.get(node, ()):
-            if state.get(child) == 1:
-                return stack[stack.index(child):] + [child]
-            if state.get(child) is None:
-                found = dfs(child)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for syn in sorted(synsets):
-        if state.get(syn) is None:
-            found = dfs(syn)
-            if found:
-                raise TaxonomyCycleError(found)
 
 
 def compile_feeling_lexicon(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -18,7 +17,7 @@ from .extraction import (
     detect_perception,
     extract_events,
 )
-from .nature import NODE_ORDER, NatureEdge, NatureGraph, NatureNodeId, transmitting_tails
+from .nature import NODE_ORDER, NatureEdge, NatureGraph, NatureNodeId, reachable, transmitting_tails
 
 
 class ActionClass(str, Enum):
@@ -86,20 +85,12 @@ class MeaDag:
 
 
 def forward_transmit(seed: set[NatureNodeId], graph: NatureGraph) -> set[NatureNodeId]:
-    """Close a seed set under transmitting edges (breadth-first, deterministic)."""
+    """Close a seed set under transmitting edges."""
     unknown = seed - set(graph.nodes)
     if unknown:
         names = ", ".join(sorted(n.value for n in unknown))
         raise ValueError(f"seed nodes not in graph: {names}")
-    activated = set(seed)
-    queue = deque(sorted(seed, key=NODE_ORDER.get))
-    while queue:
-        node = queue.popleft()
-        for tail in sorted(transmitting_tails(graph, node), key=NODE_ORDER.get):
-            if tail not in activated:
-                activated.add(tail)
-                queue.append(tail)
-    return activated
+    return reachable(seed, lambda node: transmitting_tails(graph, node))
 
 
 def link_perceptions(

@@ -251,11 +251,11 @@ class LlmClient:
         self._in_flight = threading.Semaphore(config.max_in_flight)
         self.calls = 0
         self.cache_hits = 0
-        self._fixture: dict[str, CacheEntry] = {}
-        if config.mode is ClientMode.REPLAY:
-            self._fixture = _load_entries(config.fixture_path)
+        # Replay answers from the fixture alone; live mode from its own cache file.
         self._cache: dict[str, CacheEntry] = {}
-        if config.cache_path is not None and Path(config.cache_path).exists():
+        if config.mode is ClientMode.REPLAY:
+            self._cache = _load_entries(config.fixture_path)
+        elif config.mode is ClientMode.LIVE and config.cache_path is not None and Path(config.cache_path).exists():
             self._cache = _load_entries(Path(config.cache_path))
 
     def template(self, name: str) -> PromptTemplate:
@@ -309,23 +309,15 @@ class LlmClient:
         key = cache_key(template.name, input_text, self.config.model)
         with self._lock:
             self.calls += 1
-        if self.config.mode is ClientMode.REPLAY:
-            entry = self._fixture.get(key)
-            if entry is None:
-                raise ReplayMissError(
-                    f"no fixture entry for template={template.name!r} input={input_text!r} "
-                    f"model={self.config.model!r}"
-                )
-            with self._lock:
-                self.cache_hits += 1
-            return entry.parsed_label
-
-        with self._lock:
             cached = self._cache.get(key)
-        if cached is not None:
-            with self._lock:
+            if cached is not None:
                 self.cache_hits += 1
-            return cached.parsed_label
+                return cached.parsed_label
+        if self.config.mode is ClientMode.REPLAY:
+            raise ReplayMissError(
+                f"no fixture entry for template={template.name!r} input={input_text!r} "
+                f"model={self.config.model!r}"
+            )
 
         raw = self._request(template.render(input_text))
         label = raw.strip().casefold()

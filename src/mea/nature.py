@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
+
+T = TypeVar("T", bound=Hashable)
 
 
 class NatureNodeId(str, Enum):
@@ -170,46 +171,51 @@ def validate_graph(graph: NatureGraph) -> None:
     if missing or extra:
         raise NodeSetError(missing, extra)
 
-    indegree = {n: 0 for n in graph.nodes}
-    for e in graph.edges:
-        indegree[e.tail] += 1
-    queue = deque(sorted((n for n, d in indegree.items() if d == 0), key=NODE_ORDER.get))
-    visited = 0
-    while queue:
-        node = queue.popleft()
-        visited += 1
-        for e in graph.out_edges(node):
-            indegree[e.tail] -= 1
-            if indegree[e.tail] == 0:
-                queue.append(e.tail)
-    if visited != len(graph.nodes):
-        raise CycleError(_find_cycle(graph))
+    cycle = find_cycle(
+        sorted(graph.nodes, key=NODE_ORDER.get), lambda n: (e.tail for e in graph.out_edges(n))
+    )
+    if cycle:
+        raise CycleError(cycle)
 
 
-def _find_cycle(graph: NatureGraph) -> list[NatureNodeId]:
-    state: dict[NatureNodeId, int] = {}  # 1 = on stack, 2 = done
-    stack: list[NatureNodeId] = []
+def find_cycle(roots: Iterable[T], successors: Callable[[T], Iterable[T]]) -> list[T] | None:
+    """First cycle met by a depth-first walk from each root in turn, or None.
 
-    def dfs(node: NatureNodeId) -> list[NatureNodeId] | None:
-        state[node] = 1
-        stack.append(node)
-        for e in graph.out_edges(node):
-            if state.get(e.tail) == 1:
-                return stack[stack.index(e.tail):] + [e.tail]
-            if state.get(e.tail) is None:
-                found = dfs(e.tail)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
+    The cycle is listed in walk order and closed on its first node. The walk
+    keeps an explicit stack of successor iterators, so depth is not limited by
+    the interpreter's recursion limit.
+    """
+    done: set[T] = set()
+    for root in roots:
+        if root in done:
+            continue
+        path = {root: None}  # the nodes on the current path, in walk order
+        stack = [iter(successors(root))]
+        while stack:
+            for node in stack[-1]:
+                if node in path:
+                    cycle = list(path)
+                    return cycle[cycle.index(node):] + [node]
+                if node not in done:
+                    path[node] = None
+                    stack.append(iter(successors(node)))
+                    break
+            else:
+                stack.pop()
+                done.add(path.popitem()[0])
+    return None
 
-    for n in sorted(graph.nodes, key=NODE_ORDER.get):
-        if state.get(n) is None:
-            found = dfs(n)
-            if found:
-                return found
-    raise AssertionError("cycle reported but not found")
+
+def reachable(seeds: Iterable[T], successors: Callable[[T], Iterable[T]]) -> set[T]:
+    """The seeds plus every node reachable from them; successors is called once per node."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for node in successors(todo.pop()):
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return seen
 
 
 def opposite_node(node: NatureNodeId) -> NatureNodeId:

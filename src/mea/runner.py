@@ -6,6 +6,8 @@ import csv
 import json
 import logging
 import random
+import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +44,10 @@ ERROR_DISPLAY_NAMES = {
 PATTERN_IDS = tuple(f"P{i}" for i in range(1, 11)) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
+
+# A review id names its output files, so it may not hold a path separator or
+# a control character (C0, DEL or C1).
+_UNSAFE_ID_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass
@@ -90,8 +96,10 @@ def ingest_reviews(
 ) -> list[ReviewRecord]:
     """Read a review corpus in snap (key: value blocks) or csv (Id,Text) form.
 
-    Records without usable text are skipped with a warning; when a failures
-    list is given they are recorded there for quarantine reporting.
+    Records without usable text, CSV rows whose Id is unsafe as a file name,
+    and every row of a CSV Id that appears more than once are skipped with a
+    warning; when a failures list is given they are recorded there for
+    quarantine reporting.
     """
     path = Path(path)
     if fmt == "snap":
@@ -138,20 +146,24 @@ def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[Rev
 
 
 def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[ReviewRecord]:
-    records: list[ReviewRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "Id" not in reader.fieldnames or "Text" not in reader.fieldnames:
             raise ValueError(f"{path}: csv must have Id and Text columns")
-        for row in reader:
-            review_id = (row.get("Id") or "").strip()
-            text = (row.get("Text") or "").strip()
-            if not review_id:
-                _skip(failures, "<missing id>", "missing Id value")
-                continue
-            if not text:
-                _skip(failures, review_id, "empty review text")
-                continue
+        rows = [((row.get("Id") or "").strip(), (row.get("Text") or "").strip()) for row in reader]
+    # A parse names only its review id, so no row of a repeated id can be trusted.
+    id_rows = Counter(review_id for review_id, _ in rows)
+    records: list[ReviewRecord] = []
+    for review_id, text in rows:
+        if not review_id:
+            _skip(failures, "<missing id>", "missing Id value")
+        elif review_id in (".", "..") or _UNSAFE_ID_CHAR.search(review_id):
+            _skip(failures, review_id, "Id must not be . or .. or contain /, \\ or control characters")
+        elif id_rows[review_id] > 1:
+            _skip(failures, review_id, f"Id appears in {id_rows[review_id]} rows")
+        elif not text:
+            _skip(failures, review_id, "empty review text")
+        else:
             records.append(ReviewRecord(review_id, text))
     return records
 

@@ -104,6 +104,33 @@ def test_food_compile_detects_cycles(tmp_path):
         compile_food_lexicon(dump)
 
 
+def write_deep_chain(path, depth, closed):
+    """A hyponym chain link00000 -> ... under "food", far deeper than the recursion limit."""
+    links = [f"link{i:05}.n.01" for i in range(depth)]
+    lines = [f"{links[0]}\tfood", "stone.n.01\tstone"]
+    lines += [f"{link}\tw{i}" for i, link in enumerate(links)]
+    lines += [f"{parent}\t{child}" for parent, child in zip(links, links[1:])]
+    if closed:
+        lines.append(f"{links[-1]}\t{links[0]}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_food_compile_walks_a_5000_deep_chain(tmp_path):
+    dump = tmp_path / "dump.tsv"
+    write_deep_chain(dump, 5000, closed=False)
+    assert {t.word for t in compile_food_lexicon(dump)} == {"food"} | {f"w{i}" for i in range(5000)}
+
+
+def test_food_compile_reports_a_5000_long_cycle(tmp_path):
+    dump = tmp_path / "dump.tsv"
+    write_deep_chain(dump, 5000, closed=True)
+    with pytest.raises(TaxonomyCycleError) as exc:
+        compile_food_lexicon(dump)
+    cycle = exc.value.cycle
+    assert len(cycle) == 5001
+    assert cycle[0] == cycle[-1] == "link00000.n.01"
+
+
 def test_food_compile_reports_malformed_line(tmp_path):
     dump = tmp_path / "dump.tsv"
     dump.write_text("food.n.01\tfood\nbroken line without tab\n", encoding="utf-8")

@@ -150,6 +150,20 @@ def test_replay_miss_is_an_error(replay_client):
         replay_client.classify_action_event("I juggle flaming torches")
 
 
+def test_replay_neither_reads_nor_writes_the_live_cache(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("not json\n", encoding="utf-8")
+    transport = RecordingTransport({})
+    config = ClientConfig(mode=ClientMode.REPLAY, fixture_path=DATA / "replay_classifier.jsonl", cache_path=cache)
+    client = LlmClient(config, transport=transport)
+    assert client.classify_action_event("I buy it") is ActionClass.PHYSICAL
+    with pytest.raises(ReplayMissError):
+        client.classify_action_event("I juggle flaming torches")
+    assert transport.calls == []
+    assert client.stats() == (2, 1)
+    assert cache.read_text(encoding="utf-8") == "not json\n"
+
+
 def test_classify_rejects_empty_text(replay_client):
     with pytest.raises(ValueError):
         replay_client.classify_action_event("   ")

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mea.nature import (
     CycleError,
@@ -12,8 +15,10 @@ from mea.nature import (
     NodeSetError,
     DEFAULT_EDGE_TABLE,
     default_graph,
+    find_cycle,
     load_graph_file,
     opposite_node,
+    reachable,
     transmitting_tails,
     validate_graph,
 )
@@ -39,6 +44,66 @@ def independent_toposort_ok(edges):
             if indeg[t] == 0:
                 ready.append(t)
     return seen == len(nodes)
+
+
+def kahn_acyclic(n, edges):
+    """Kahn's algorithm over nodes 0..n-1, written from scratch for the test."""
+    indeg = [0] * n
+    for _, tail in edges:
+        indeg[tail] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    seen = 0
+    while ready:
+        v = ready.pop()
+        seen += 1
+        for head, tail in edges:
+            if head == v:
+                indeg[tail] -= 1
+                if indeg[tail] == 0:
+                    ready.append(tail)
+    return seen == n
+
+
+# Digraphs on nodes 0..n-1, self-loops included.
+digraphs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs)
+def test_find_cycle_agrees_with_kahn(graph):
+    n, edges = graph
+    successors = {v: sorted(t for h, t in edges if h == v) for v in range(n)}
+    cycle = find_cycle(range(n), successors.__getitem__)
+    if kahn_acyclic(n, edges):
+        assert cycle is None
+    else:
+        assert cycle is not None and len(cycle) >= 2
+        assert cycle[0] == cycle[-1]
+        assert len(set(cycle[:-1])) == len(cycle) - 1
+        assert all((a, b) in edges for a, b in zip(cycle, cycle[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs, st.data())
+def test_reachable_is_the_fixed_point_closure(graph, data):
+    n, edges = graph
+    seeds = data.draw(st.sets(st.integers(0, n - 1)))
+    closure = set(seeds)
+    while True:
+        grown = closure | {t for h, t in edges if h in closure}
+        if grown == closure:
+            break
+        closure = grown
+    calls = Counter()
+
+    def successors(v):
+        calls[v] += 1
+        return [t for h, t in edges if h == v]
+
+    assert reachable(seeds, successors) == closure
+    assert calls == Counter(closure)  # each reached node is expanded exactly once
 
 
 def test_default_graph_shape():

@@ -166,6 +166,57 @@ def test_robust_corpus_quarantines_failures(data_dir, tmp_path):
     assert len(log_lines) == 2
 
 
+def run_csv_corpus(data_dir, root, rows, parses):
+    """Run rows of (Id, Text) with parses {file stem: review id}, each a copy of review 1's parse."""
+    (root / "reviews.csv").write_text(
+        "Id,Text\n" + "".join(f'"{rid}","{text}"\n' for rid, text in rows), encoding="utf-8"
+    )
+    (root / "parses").mkdir()
+    parse_1 = (data_dir / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8")
+    for stem, review_id in parses.items():
+        text = parse_1.replace("# review_id = 1\n", f"# review_id = {review_id}\n")
+        (root / "parses" / f"{stem}.conllu").write_text(text, encoding="utf-8")
+    failures = []
+    reviews = ingest_reviews(root / "reviews.csv", "csv", failures)
+    stats = run_pipeline(
+        reviews,
+        load_parse_dir(root / "parses", failures),
+        default_graph(),
+        load_lexicon(data_dir / "lexicon.tsv"),
+        make_replay_client(),
+        root / "run" / "out",
+        failures=failures,
+    )
+    return stats, failures
+
+
+def test_unsafe_csv_ids_are_quarantined_inside_out_dir(data_dir, tmp_path):
+    unsafe = ["../escaped", "..", ".", "a\\b", "tab\there", "bell\x07"]
+    rows = [("1", "I bought this brand.")] + [(rid, "I bought this brand.") for rid in unsafe]
+    parses = {"1": "1", "escaped": "../escaped", "dots": ".."}
+    stats, failures = run_csv_corpus(data_dir, tmp_path, rows, parses)
+    out = tmp_path / "run" / "out"
+    outside = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p != out and out not in p.parents}
+    assert outside == {"reviews.csv", "parses", "run"} | {f"parses/{stem}.conllu" for stem in parses}
+    assert [rid for rid, _ in failures] == unsafe
+    assert all("Id must not be" in reason for _, reason in failures)
+    assert sorted(p.name for p in out.iterdir()) == ["1.json", "failures.log", "index.json", "stats.json"]
+    assert stats.total_reviews == 1
+    assert stats.failed_reviews == len(unsafe)
+
+
+def test_every_row_of_a_duplicated_csv_id_is_quarantined(data_dir, tmp_path):
+    rows = [("7", "I bought this brand."), ("8", "I bought this brand."), ("7", "Another text.")]
+    stats, failures = run_csv_corpus(data_dir, tmp_path, rows, {"7": "7", "8": "8"})
+    assert failures == [("7", "Id appears in 2 rows"), ("7", "Id appears in 2 rows")]
+    assert stats.total_reviews == 1
+    assert stats.failed_reviews == 2
+    out = tmp_path / "run" / "out"
+    assert not (out / "7.json").exists()
+    assert json.loads((out / "8.json").read_text())["review_id"] == "8"
+    assert (out / "failures.log").read_text().splitlines() == ["7\tId appears in 2 rows"] * 2
+
+
 # --- sampling ----------------------------------------------------------------
 
 def make_index(n_valid=20, n_invalid=5):
