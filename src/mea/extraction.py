@@ -135,9 +135,8 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
     review_id: str | None = None
     rows: list[tuple[int, list[str]]] = []
     start_line = 0
-    line_no = 0
 
-    def flush(at_line: int) -> None:
+    def flush() -> None:
         nonlocal review_id, rows
         if not rows:
             review_id = None
@@ -173,9 +172,16 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         review_id = None
         rows = []
 
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number the lines as below, with U+FFFD standing in for the bad byte.
+        bad_line = len((data[: exc.start].decode("utf-8") + "\ufffd").splitlines())
+        raise ConlluError(str(path), bad_line, "not valid UTF-8") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
-            flush(line_no)
+            flush()
             continue
         if raw.startswith("#"):
             m = _REVIEW_ID_RE.match(raw)
@@ -188,7 +194,7 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         if not rows:
             start_line = line_no
         rows.append((line_no, fields))
-    flush(line_no if rows else 0)
+    flush()
     return sentences
 
 
@@ -215,83 +221,59 @@ def _is_be(tok: Token) -> bool:
     return tok.lemma == "be"
 
 
-SLOT_PREDICATES: dict[str, Callable[[Token], bool]] = {
-    "V": _is_verb,
-    "N": _is_noun,
-    "A": _is_adjectival,
-    "P": _is_preposition,
-    "BE": _is_be,
-}
-
-
 @dataclass(frozen=True)
 class PatternArc:
     head_slot: str
     dep_slot: str
     deprel: str
+    dep_ok: Callable[[Token], bool]          # what the dependent slot accepts
 
 
 @dataclass(frozen=True)
 class ActionPattern:
     pattern_id: str
-    slots: tuple[tuple[str, str], ...]       # (slot name, kind) beyond subj/v1
     arcs: tuple[PatternArc, ...]             # ordered so heads bind first
-
-    @property
-    def size(self) -> int:
-        return len(self.slots) + 2           # + subj + v1
-
-    @property
-    def number(self) -> int:
-        return int(self.pattern_id[1:])
 
 
 ACTION_PATTERNS: tuple[ActionPattern, ...] = (
-    ActionPattern("P1", (), ()),
-    ActionPattern("P2", (("n2", "N"),), (PatternArc("v1", "n2", "dobj"),)),
-    ActionPattern("P3", (("a", "A"),), (PatternArc("v1", "a", "xcomp"),)),
+    ActionPattern("P1", ()),
+    ActionPattern("P2", (PatternArc("v1", "n2", "dobj", _is_noun),)),
+    ActionPattern("P3", (PatternArc("v1", "a", "xcomp", _is_adjectival),)),
     ActionPattern(
         "P4",
-        (("n2", "N"), ("n3", "N")),
-        (PatternArc("v1", "n2", "iobj"), PatternArc("v1", "n3", "dobj")),
+        (PatternArc("v1", "n2", "iobj", _is_noun), PatternArc("v1", "n3", "dobj", _is_noun)),
     ),
     ActionPattern(
         "P5",
-        (("a1", "A"), ("be", "BE")),
-        (PatternArc("v1", "a1", "xcomp"), PatternArc("a1", "be", "cop")),
+        (PatternArc("v1", "a1", "xcomp", _is_adjectival), PatternArc("a1", "be", "cop", _is_be)),
     ),
     ActionPattern(
         "P6",
-        (("n2", "N"), ("be", "BE")),
-        (PatternArc("v1", "n2", "xcomp"), PatternArc("n2", "be", "cop")),
+        (PatternArc("v1", "n2", "xcomp", _is_noun), PatternArc("n2", "be", "cop", _is_be)),
     ),
     ActionPattern(
         "P7",
-        (("v2", "V"), ("n2", "N")),
-        (PatternArc("v1", "v2", "xcomp"), PatternArc("v2", "n2", "dobj")),
+        (PatternArc("v1", "v2", "xcomp", _is_verb), PatternArc("v2", "n2", "dobj", _is_noun)),
     ),
-    ActionPattern("P8", (("v2", "V"),), (PatternArc("v1", "v2", "xcomp"),)),
+    ActionPattern("P8", (PatternArc("v1", "v2", "xcomp", _is_verb),)),
     ActionPattern(
         "P9",
-        (("n2", "N"), ("p1", "P")),
-        (PatternArc("v1", "n2", "nmod"), PatternArc("n2", "p1", "case"),),
+        (PatternArc("v1", "n2", "nmod", _is_noun), PatternArc("n2", "p1", "case", _is_preposition),),
     ),
     ActionPattern(
         "P10",
-        (("n2", "N"), ("n3", "N"), ("p1", "P")),
         (
-            PatternArc("v1", "n2", "dobj"),
-            PatternArc("v1", "n3", "nmod"),
-            PatternArc("n3", "p1", "case"),
+            PatternArc("v1", "n2", "dobj", _is_noun),
+            PatternArc("v1", "n3", "nmod", _is_noun),
+            PatternArc("n3", "p1", "case", _is_preposition),
         ),
     ),
 )
 
 
 def _bindings(
-    sentence: ParsedSentence, pattern: ActionPattern, v1: Token, subj: Token
+    children: dict[int, list[Token]], pattern: ActionPattern, v1: Token, subj: Token
 ) -> list[dict[str, Token]]:
-    kinds = dict(pattern.slots)
     results: list[dict[str, Token]] = []
 
     def extend(binding: dict[str, Token], arcs: tuple[PatternArc, ...]) -> None:
@@ -299,11 +281,9 @@ def _bindings(
             results.append(dict(binding))
             return
         arc, rest = arcs[0], arcs[1:]
-        head_tok = binding[arc.head_slot]
-        predicate = SLOT_PREDICATES[kinds[arc.dep_slot]]
         used = {t.index for t in binding.values()}
-        for child in sentence.children(head_tok.index):
-            if child.deprel == arc.deprel and child.index not in used and predicate(child):
+        for child in children.get(binding[arc.head_slot].index, ()):
+            if child.deprel == arc.deprel and child.index not in used and arc.dep_ok(child):
                 binding[arc.dep_slot] = child
                 extend(binding, rest)
                 del binding[arc.dep_slot]
@@ -319,22 +299,25 @@ def match_action_patterns(sentence: ParsedSentence) -> list[Event]:
     binding covering the most tokens wins, ties go to the lowest pattern
     number, then to the smallest token-index tuple.
     """
+    children: dict[int, list[Token]] = {}
+    for tok in sentence.tokens:
+        children.setdefault(tok.head, []).append(tok)
     events: list[Event] = []
     for v1 in sentence.tokens:
         if not _is_verb(v1):
             continue
         subjects = [
             c
-            for c in sentence.children(v1.index)
+            for c in children.get(v1.index, ())
             if c.deprel == "nsubj" and c.lemma in FIRST_PERSON_LEMMAS
         ]
         best: tuple[int, int, tuple[int, ...]] | None = None
         best_binding: tuple[str, dict[str, Token]] | None = None
         for subj in subjects:
-            for pattern in ACTION_PATTERNS:
-                for binding in _bindings(sentence, pattern, v1, subj):
+            for number, pattern in enumerate(ACTION_PATTERNS, start=1):
+                for binding in _bindings(children, pattern, v1, subj):
                     indices = tuple(sorted(t.index for t in binding.values()))
-                    rank = (-len(indices), pattern.number, indices)
+                    rank = (-len(indices), number, indices)
                     if best is None or rank < best:
                         best = rank
                         best_binding = (pattern.pattern_id, binding)
@@ -352,7 +335,6 @@ def match_action_patterns(sentence: ParsedSentence) -> list[Event]:
                 negated=_span_negated(sentence, indices),
             )
         )
-    events.sort(key=lambda e: e.verb_index)
     return events
 
 
@@ -420,26 +402,18 @@ def detect_perception(event: Event, lexicon: BeliefLexicon) -> list[PerceptionLi
     verb. Food words only link when combination 1 or 2 fires. Negation flips
     feeling/emotion nodes to their opposites.
     """
-    tokens = event.tokens()
     food_words: list[str] = []
     feeling_words: list[tuple[str, NatureNodeId]] = []
     emo_adj_words: list[tuple[str, NatureNodeId]] = []
-    seen_food: set[str] = set()
-    seen_feeling: set[tuple[str, NatureNodeId]] = set()
-    seen_emo: set[tuple[str, NatureNodeId]] = set()
-    for tok in tokens:
-        nodes = lexicon.lookup(tok.lemma)
-        if NatureNodeId.FOOD in nodes and tok.lemma not in seen_food:
-            seen_food.add(tok.lemma)
-            food_words.append(tok.lemma)
-        for node in sorted(nodes, key=lambda n: n.value):
-            if node in _FEELING_NODES and (tok.lemma, node) not in seen_feeling:
-                seen_feeling.add((tok.lemma, node))
+    # Repeats are left to emit(); a word has at most one node per polarity family.
+    for tok in event.tokens():
+        for node in lexicon.lookup(tok.lemma):
+            if node is NatureNodeId.FOOD:
+                food_words.append(tok.lemma)
+            elif node in _FEELING_NODES:
                 feeling_words.append((tok.lemma, node))
-            if node in _EMOTION_NODES and tok.pos_tag.startswith("JJ"):
-                if (tok.lemma, node) not in seen_emo:
-                    seen_emo.add((tok.lemma, node))
-                    emo_adj_words.append((tok.lemma, node))
+            elif node in _EMOTION_NODES and tok.pos_tag.startswith("JJ"):
+                emo_adj_words.append((tok.lemma, node))
 
     links: list[PerceptionLink] = []
     emitted: set[tuple[str, NatureNodeId]] = set()

@@ -9,7 +9,7 @@ import random
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -21,16 +21,6 @@ from .nature import NatureGraph, NatureNodeId
 
 log = logging.getLogger(__name__)
 
-ERROR_TYPES = (
-    "EventLinkingLoss",
-    "AserExtractionLoss",
-    "WrongSubsequentAction",
-    "WordSenseAmbiguity",
-    "WrongBelief",
-    "WrongPastAction",
-    "NegationLoss",
-)
-
 ERROR_DISPLAY_NAMES = {
     "EventLinkingLoss": "Event Linking Loss",
     "AserExtractionLoss": "ASER Extraction Loss",
@@ -41,13 +31,17 @@ ERROR_DISPLAY_NAMES = {
     "NegationLoss": "Negation Loss",
 }
 
+ERROR_TYPES = tuple(ERROR_DISPLAY_NAMES)
+
 PATTERN_IDS = tuple(f"P{i}" for i in range(1, 11)) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
 
 # A review id names its output files, so it may not hold a path separator or
-# a control character (C0, DEL or C1).
-_UNSAFE_ID_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+# a control character (C0, DEL or C1); failures.log escapes control characters.
+_CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
+_UNSAFE_ID_CHAR = re.compile(rf"[/\\{_CONTROL_CHARS}]")
+_CONTROL_CHAR = re.compile(rf"[{_CONTROL_CHARS}]")
 
 
 @dataclass
@@ -70,17 +64,7 @@ class CorpusStats:
     classifier_cache_hits: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "total_reviews": self.total_reviews,
-            "reviews_with_events": self.reviews_with_events,
-            "valid_dags": self.valid_dags,
-            "invalid_both_needs": self.invalid_both_needs,
-            "invalid_no_need": self.invalid_no_need,
-            "failed_reviews": self.failed_reviews,
-            "pattern_counts": {p: self.pattern_counts.get(p, 0) for p in PATTERN_IDS},
-            "classifier_calls": self.classifier_calls,
-            "classifier_cache_hits": self.classifier_cache_hits,
-        }
+        return asdict(self)
 
 
 class ReportValidationError(Exception):
@@ -255,7 +239,7 @@ def run_pipeline(
             continue
         stats.reviews_with_events += 1
         for event in result.events:
-            stats.pattern_counts[event.pattern_id] = stats.pattern_counts.get(event.pattern_id, 0) + 1
+            stats.pattern_counts[event.pattern_id] += 1
         has_pos = NatureNodeId.NEED_FOOD_POS in result.activated
         has_neg = NatureNodeId.NEED_FOOD_NEG in result.activated
         if result.valid:
@@ -279,9 +263,14 @@ def run_pipeline(
     (out_dir / "index.json").write_text(json.dumps(index_entries, indent=2) + "\n", encoding="utf-8")
     (out_dir / "stats.json").write_text(json.dumps(stats.to_json(), indent=2) + "\n", encoding="utf-8")
     if failures:
-        lines = [f"{rid}\t{reason}" for rid, reason in failures]
+        lines = [f"{_escape_controls(rid)}\t{_escape_controls(reason)}" for rid, reason in failures]
         (out_dir / "failures.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return stats
+
+
+def _escape_controls(text: str) -> str:
+    """Write each control character as a \\xNN escape, so a log line never splits."""
+    return _CONTROL_CHAR.sub(lambda m: f"\\x{ord(m.group()):02x}", text)
 
 
 def sample_for_evaluation(index_entries: Sequence[dict], n: int, seed: int) -> dict:

@@ -2,6 +2,8 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sentence
 from mea.belief import BeliefLexicon, BeliefSource, BeliefTuple, PosClass
@@ -99,6 +101,27 @@ def test_parse_counts_sentences_in_file_order(data_dir):
     sentences = parse_conllu(data_dir / "patterns.conllu")
     assert len(sentences) == 14
     assert [s.sentence_index for s in sentences] == list(range(14))
+
+
+_CONLLU_PIECES = st.sampled_from(
+    [
+        b"# review_id = r\n",
+        b"1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n",
+        b"2\tgo\tgo\tVERB\tVBP\t_\t0\troot\t_\t_\n",
+        b"\n", b"\r", b"\t", b"#", b"_", b"0", b"1", b"2", b"-1", b"\xff", b"\xc3", b"\xe2\x80\xa8",
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_CONLLU_PIECES, st.binary(max_size=8)), max_size=40).map(b"".join))
+def test_parse_raises_only_conllu_error_on_arbitrary_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.conllu"
+    path.write_bytes(data)
+    try:
+        parse_conllu(path)
+    except ConlluError:
+        pass
 
 
 def test_token_invariants():
@@ -287,6 +310,53 @@ def test_matcher_agrees_with_brute_force_on_all_fixtures(data_dir):
         assert actual == expected, f"disagreement on {' '.join(t.surface for t in s.tokens)}"
         checked += 1
     assert checked >= 30
+
+
+_TREE_LEMMAS = ["i", "we", "be", "they", "x"]
+_TREE_TAGS = ["VB", "VBD", "VBN", "NN", "PRP", "JJ", "IN", "TO", "DT"]
+_TREE_DEPRELS = ["nsubj", "dobj", "iobj", "xcomp", "cop", "nmod", "case", "det"]
+_KIND_ROWS = {  # kind -> (lemmas, tags) a token of that kind may have; "X" is any token
+    "FP": (["i", "we"], _TREE_TAGS),
+    "V": (_TREE_LEMMAS, ["VB", "VBD", "VBN"]),
+    "N": (_TREE_LEMMAS, ["NN", "PRP"]),
+    "A": (_TREE_LEMMAS, ["JJ", "VBN"]),
+    "P": (_TREE_LEMMAS, ["IN", "TO"]),
+    "BE": (["be"], _TREE_TAGS),
+    "X": (_TREE_LEMMAS, _TREE_TAGS),
+}
+
+
+@st.composite
+def dependency_trees(draw):
+    """A single-root tree of at most 7 tokens: a perturbed pattern skeleton plus random tokens."""
+
+    def planted(values, pool):  # one time in eight, any value from the pool
+        return draw(st.sampled_from(pool if draw(st.integers(0, 7)) == 0 else values))
+
+    def slot(kind, head, rel):  # (lemma, tag, head slot, deprel)
+        lemmas, tags = _KIND_ROWS[kind]
+        return planted(lemmas, _TREE_LEMMAS), planted(tags, _TREE_TAGS), head, planted([rel], _TREE_DEPRELS)
+
+    _, slots, arcs = draw(st.sampled_from(ORACLE_PATTERNS))
+    kinds = dict(slots)
+    nodes = {"v1": slot(kinds["v1"], None, "root")}
+    for head, dep, rel in arcs:
+        nodes[dep] = slot(kinds[dep], head, rel)
+    for extra in range(draw(st.integers(0, 7 - len(nodes)))):
+        nodes[f"x{extra}"] = slot("X", draw(st.sampled_from(sorted(nodes))), draw(st.sampled_from(_TREE_DEPRELS)))
+    position = dict(zip(nodes, draw(st.permutations(range(1, len(nodes) + 1)))))
+    rows = sorted(
+        (position[name], lemma, tag, position[head] if head else 0, rel)
+        for name, (lemma, tag, head, rel) in nodes.items()
+    )
+    return sentence([(f"w{index}", lemma, tag, head, rel) for index, lemma, tag, head, rel in rows])
+
+
+@settings(max_examples=120, deadline=None)
+@given(dependency_trees())
+def test_matcher_agrees_with_brute_force_on_random_trees(s):
+    actual = [(e.pattern_id, e.token_indices, e.verb_index) for e in match_action_patterns(s)]
+    assert actual == brute_force_matches(s)
 
 
 def test_pattern_fixture_expectations(data_dir):

@@ -217,6 +217,31 @@ def test_every_row_of_a_duplicated_csv_id_is_quarantined(data_dir, tmp_path):
     assert (out / "failures.log").read_text().splitlines() == ["7\tId appears in 2 rows"] * 2
 
 
+def test_failures_log_has_one_line_per_failure(data_dir, tmp_path):
+    unsafe = ["a\nb", "tab\there", "c\x851", "bell\x07"]
+    rows = [("1", "I bought this brand.")] + [(rid, "I bought this brand.") for rid in unsafe]
+    stats, failures = run_csv_corpus(data_dir, tmp_path, rows, {"1": "1"})
+    assert [rid for rid, _ in failures] == unsafe
+    log_lines = (tmp_path / "run" / "out" / "failures.log").read_text(encoding="utf-8").splitlines()
+    escaped = ["a\\x0ab", "tab\\x09here", "c\\x851", "bell\\x07"]
+    assert log_lines == [f"{rid}\t{reason}" for rid, (_, reason) in zip(escaped, failures)]
+
+
+def test_non_utf8_parse_file_quarantines_only_its_review(data_dir, tmp_path):
+    parse_1 = (data_dir / "corpus" / "parses" / "1.conllu").read_bytes()
+    (tmp_path / "1.conllu").write_bytes(parse_1)
+    (tmp_path / "2.conllu").write_bytes(
+        b"# review_id = 2\n"
+        b"1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n"
+        b"2\tate\teat\tVERB\tVBD\t_\t0\troot\t_\t_\n"
+        b"3\tcr\xe8pes\tcr\xe8pe\tNOUN\tNNS\t_\t2\tdobj\t_\t_\n"
+    )
+    failures = []
+    parses = load_parse_dir(tmp_path, failures)
+    assert list(parses) == ["1"]
+    assert failures == [("2", f"parse error: {tmp_path / '2.conllu'}:4: not valid UTF-8")]
+
+
 # --- sampling ----------------------------------------------------------------
 
 def make_index(n_valid=20, n_invalid=5):
