@@ -1,58 +1,36 @@
 """Motivation-emotion-action graph extraction from natural-language reviews."""
 
-from .belief import (
-    BeliefLexicon,
-    BeliefSource,
-    BeliefTuple,
-    EmotionBaseWord,
-    EmotionClass,
-    PosClass,
-    SenseRecord,
-    compile_emotion_lexicon,
-    compile_feeling_lexicon,
-    compile_food_lexicon,
-    dump_lexicon,
-    load_lexicon,
-)
-from .dag import (
-    ActionClass,
-    DagLink,
-    EventNode,
-    Justification,
-    MeaDag,
-    build_mea_dag,
-    forward_transmit,
-    from_json,
-    is_valid,
-    link_actions,
-    link_perceptions,
-    to_dot,
-    to_json,
-)
-from .extraction import (
-    Combo,
-    Event,
-    ParsedSentence,
-    PerceptionLink,
-    Tense,
-    Token,
-    classify_tense,
-    detect_negation,
-    detect_perception,
-    extract_events,
-    match_action_patterns,
-    parse_conllu,
-)
-from .llm import ClientConfig, ClientMode, LlmClient, PromptTemplate, heuristic_classifier
-from .nature import (
-    NatureEdge,
-    NatureGraph,
-    NatureNodeId,
-    default_graph,
-    load_graph_file,
-    opposite_node,
-    transmitting_tails,
-    validate_graph,
-)
+from __future__ import annotations
+
+from pathlib import Path
 
 __version__ = "0.1.0"
+
+
+class InputFileError(Exception):
+    """A malformed input file, located by path and 1-based line (0: the whole file)."""
+
+    def __init__(self, path: str, line_no: int, message: str):
+        self.path = path
+        self.line_no = line_no
+        super().__init__(f"{path}:{line_no}: {message}")
+
+
+def read_text(path: str | Path, error: type[InputFileError]) -> str:
+    """Decode a UTF-8 file; raise `error` at the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number the lines as splitlines() does, with U+FFFD standing in for the bad byte.
+        bad_line = len((data[: exc.start].decode("utf-8") + "\ufffd").splitlines())
+        raise error(str(path), bad_line, "not valid UTF-8") from None
+
+
+def split_fields(line: str, count: int, path: str | Path, line_no: int, error: type[InputFileError]) -> list[str]:
+    """Split a line on tabs; raise `error` unless it has exactly `count` fields."""
+    fields = line.split("\t")
+    if len(fields) != count:
+        raise error(str(path), line_no, f"expected {count} tab-separated fields, got {len(fields)}")
+    return fields

@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import InputFileError, read_text, split_fields
 from .nature import NatureNodeId, find_cycle, reachable
 
 PERCEPTION_NODES = frozenset(
@@ -58,11 +59,8 @@ class LexiconError(Exception):
     """Base class for lexicon compilation and IO errors."""
 
 
-class LexiconFormatError(LexiconError):
-    def __init__(self, path: str, line_no: int, message: str):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+class LexiconFormatError(LexiconError, InputFileError):
+    pass
 
 
 class TaxonomyCycleError(LexiconError):
@@ -183,13 +181,10 @@ def compile_food_lexicon(dump_path: str | Path, exclusions: Iterable[str] = ()) 
     children: dict[str, list[str]] = {}
     lemmas: dict[str, list[str]] = {}
     synsets: set[str] = set()
-    for line_no, raw in enumerate(dump_path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(dump_path, LexiconFormatError).splitlines(), start=1):
         if not raw.strip():
             continue
-        fields = raw.split("\t")
-        if len(fields) != 2:
-            raise LexiconFormatError(str(dump_path), line_no, f"expected 2 fields, got {len(fields)}")
-        first, second = fields
+        first, second = split_fields(raw, 2, dump_path, line_no, LexiconFormatError)
         if not _SYNSET_RE.match(first):
             raise LexiconFormatError(str(dump_path), line_no, f"first field is not a noun synset id: {first!r}")
         synsets.add(first)
@@ -308,10 +303,7 @@ def loads_lexicon(text: str, origin: str = "<string>") -> BeliefLexicon:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise LexiconFormatError(origin, line_no, f"expected 4 fields, got {len(fields)}")
-        word, node_s, source_s, pos_s = fields
+        word, node_s, source_s, pos_s = split_fields(line, 4, origin, line_no, LexiconFormatError)
         try:
             tuples.append(BeliefTuple(word, NatureNodeId(node_s), BeliefSource(source_s), PosClass(pos_s)))
         except ValueError as exc:
@@ -324,20 +316,17 @@ def loads_lexicon(text: str, origin: str = "<string>") -> BeliefLexicon:
 
 def load_lexicon(path: str | Path) -> BeliefLexicon:
     path = Path(path)
-    return loads_lexicon(path.read_text(encoding="utf-8"), origin=str(path))
+    return loads_lexicon(read_text(path, LexiconFormatError), origin=str(path))
 
 
 def parse_sense_file(path: str | Path) -> list[SenseRecord]:
     """Read a sense dump: lemma, pos_class, pos_score, neg_score, sense_id."""
     path = Path(path)
     records: list[SenseRecord] = []
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, LexiconFormatError).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        fields = raw.split("\t")
-        if len(fields) != 5:
-            raise LexiconFormatError(str(path), line_no, f"expected 5 fields, got {len(fields)}")
-        lemma, pos_s, pos_score_s, neg_score_s, sense_id = fields
+        lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no, LexiconFormatError)
         try:
             records.append(
                 SenseRecord(lemma, PosClass(pos_s), float(pos_score_s), float(neg_score_s), sense_id)
@@ -356,13 +345,10 @@ def parse_emotion_file(path: str | Path) -> list[EmotionBaseWord]:
     path = Path(path)
     bases: list[EmotionBaseWord] = []
     pending_ext: dict[int, list[tuple[str, PosClass]]] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, LexiconFormatError).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        fields = raw.split("\t")
-        if len(fields) != 4:
-            raise LexiconFormatError(str(path), line_no, f"expected 4 fields, got {len(fields)}")
-        word, emo_s, pos_s, kind = fields
+        word, emo_s, pos_s, kind = split_fields(raw, 4, path, line_no, LexiconFormatError)
         try:
             emotion = EmotionClass(emo_s)
             pos_class = PosClass(pos_s)
@@ -390,7 +376,7 @@ def parse_emotion_file(path: str | Path) -> list[EmotionBaseWord]:
 
 def load_word_list(path: str | Path) -> list[str]:
     words = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path, LexiconFormatError).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             words.append(line)

@@ -8,7 +8,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import belief
+from . import InputFileError, belief, read_text
 from .belief import BeliefLexicon
 from .llm import ClientConfig, ClientMode, LlmClient
 from .nature import default_graph, load_graph_file, validate_graph
@@ -132,7 +132,7 @@ def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     index_path = Path(args.index) / "index.json"
-    entries = json.loads(index_path.read_text(encoding="utf-8"))
+    entries = json.loads(read_text(index_path, InputFileError))
     manifest = sample_for_evaluation(entries, args.n, args.seed)
     Path(args.out).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"{len(manifest['entries'])} samples -> {args.out}")
@@ -140,7 +140,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = json.loads(read_text(args.manifest, InputFileError))
     report = report_errors(manifest)
     print(render_report(report), end="")
     if args.out:

@@ -15,6 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
+from . import InputFileError, read_text, split_fields
 from .belief import BeliefLexicon, PosClass
 from .nature import NatureNodeId, opposite_node
 
@@ -24,11 +25,8 @@ _FEELING_NODES = frozenset({NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EX
 _EMOTION_NODES = frozenset({NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG})
 
 
-class ConlluError(Exception):
-    def __init__(self, path: str, line_no: int, message: str):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+class ConlluError(InputFileError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -172,14 +170,7 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         review_id = None
         rows = []
 
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Number the lines as below, with U+FFFD standing in for the bad byte.
-        bad_line = len((data[: exc.start].decode("utf-8") + "\ufffd").splitlines())
-        raise ConlluError(str(path), bad_line, "not valid UTF-8") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, ConlluError).splitlines(), start=1):
         if not raw.strip():
             flush()
             continue
@@ -188,9 +179,7 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
             if m:
                 review_id = m.group(1)
             continue
-        fields = raw.split("\t")
-        if len(fields) != 10:
-            raise ConlluError(str(path), line_no, f"expected 10 tab-separated columns, got {len(fields)}")
+        fields = split_fields(raw, 10, path, line_no, ConlluError)
         if not rows:
             start_line = line_no
         rows.append((line_no, fields))
@@ -341,8 +330,8 @@ def match_action_patterns(sentence: ParsedSentence) -> list[Event]:
 def extract_state_event(sentence: ParsedSentence) -> Event | None:
     """Emit one STATE event for the root clause, if it is verbal or copular.
 
-    The span is the root's subtree (the whole sentence) minus punctuation;
-    the verb slot is the root itself or its copula.
+    The span is the root's subtree (the whole sentence) minus punctuation
+    other than the verb; the verb slot is the root itself or its copula.
     """
     root = sentence.root
     if _is_verb(root):
@@ -352,7 +341,7 @@ def extract_state_event(sentence: ParsedSentence) -> Event | None:
         if not cops:
             return None
         verb_index = min(c.index for c in cops)
-    indices = tuple(t.index for t in sentence.tokens if t.deprel != "punct")
+    indices = tuple(t.index for t in sentence.tokens if t.deprel != "punct" or t.index == verb_index)
     subjects = [c for c in sentence.children(root.index) if c.deprel == "nsubj"]
     subject_lemma = min(subjects, key=lambda t: t.index).lemma if subjects else None
     return Event(

@@ -20,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
+from . import InputFileError, read_text
 from .dag import ActionClass
 
 log = logging.getLogger(__name__)
@@ -28,19 +29,14 @@ ENDPOINT_ENV = "MEA_LLM_ENDPOINT"
 API_KEY_ENV = "MEA_LLM_API_KEY"
 MODEL_ENV = "MEA_LLM_MODEL"
 DEFAULT_MODEL = "glm-4"
+MAX_IN_FLIGHT = 4  # concurrent requests per client
 
-TEMPLATE_NAMES = ("filter_feeling_neg", "filter_emotion", "classify_action")
+_LABEL_TO_CLASS = {c.value.casefold(): c for c in ActionClass}
 
 _TEMPLATE_LABELS: dict[str, tuple[frozenset[str], str | None]] = {
     "filter_feeling_neg": (frozenset({"yes", "no"}), "yes"),
     "filter_emotion": (frozenset({"yes", "no"}), "yes"),
-    "classify_action": (frozenset({"mental", "physical", "social"}), None),
-}
-
-_LABEL_TO_CLASS = {
-    "mental": ActionClass.MENTAL,
-    "physical": ActionClass.PHYSICAL,
-    "social": ActionClass.SOCIAL,
+    "classify_action": (frozenset(_LABEL_TO_CLASS), None),
 }
 
 
@@ -62,11 +58,8 @@ class ReplayMissError(LlmError):
     pass
 
 
-class CacheFormatError(LlmError):
-    def __init__(self, path: str, line_no: int, message: str):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+class CacheFormatError(LlmError, InputFileError):
+    pass
 
 
 class ClientMode(str, Enum):
@@ -115,7 +108,6 @@ class ClientConfig:
     mode: ClientMode = ClientMode.LIVE
     fixture_path: Path | None = None
     cache_path: Path | None = None
-    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         if self.mode is ClientMode.REPLAY and self.fixture_path is None:
@@ -146,19 +138,22 @@ class CacheEntry:
 
 
 def cache_key(template: str, input_text: str, model: str) -> str:
-    payload = "\x1f".join((template, input_text, model)).encode("utf-8")
+    # A cache line may hold any JSON string, lone surrogates included.
+    payload = "\x1f".join((template, input_text, model)).encode("utf-8", "surrogatepass")
     return hashlib.sha256(payload).hexdigest()
 
 
 def _load_entries(path: Path) -> dict[str, CacheEntry]:
     entries: dict[str, CacheEntry] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, CacheFormatError).splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CacheFormatError(str(path), line_no, f"invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise CacheFormatError(str(path), line_no, "expected a JSON object")
         try:
             entry = CacheEntry(
                 key=doc["key"],
@@ -171,12 +166,15 @@ def _load_entries(path: Path) -> dict[str, CacheEntry]:
             )
         except KeyError as exc:
             raise CacheFormatError(str(path), line_no, f"missing field {exc}") from None
-        if entry.template not in _TEMPLATE_LABELS:
-            raise CacheFormatError(str(path), line_no, f"unknown template {entry.template!r}")
-        labels, _ = _TEMPLATE_LABELS[entry.template]
-        if entry.parsed_label not in labels:
-            raise CacheFormatError(str(path), line_no, f"label {entry.parsed_label!r} not allowed")
-        expected = cache_key(entry.template, entry.input, entry.model)
+        try:
+            if entry.template not in _TEMPLATE_LABELS:
+                raise CacheFormatError(str(path), line_no, f"unknown template {entry.template!r}")
+            labels, _ = _TEMPLATE_LABELS[entry.template]
+            if entry.parsed_label not in labels:
+                raise CacheFormatError(str(path), line_no, f"label {entry.parsed_label!r} not allowed")
+            expected = cache_key(entry.template, entry.input, entry.model)
+        except TypeError:  # a list, object or number where a string belongs
+            raise CacheFormatError(str(path), line_no, "template, input, model and label must be strings") from None
         if entry.key != expected:
             raise CacheFormatError(str(path), line_no, "key does not match entry fields")
         entries[entry.key] = entry
@@ -241,14 +239,12 @@ class LlmClient:
         self,
         config: ClientConfig,
         transport: Transport | None = None,
-        template_dir: str | Path | None = None,
     ):
         self.config = config
         self._transport = transport or _http_transport
-        self._template_dir = template_dir
         self._templates: dict[str, PromptTemplate] = {}
         self._lock = threading.Lock()
-        self._in_flight = threading.Semaphore(config.max_in_flight)
+        self._in_flight = threading.Semaphore(MAX_IN_FLIGHT)
         self.calls = 0
         self.cache_hits = 0
         # Replay answers from the fixture alone; live mode from its own cache file.
@@ -260,7 +256,7 @@ class LlmClient:
 
     def template(self, name: str) -> PromptTemplate:
         if name not in self._templates:
-            self._templates[name] = load_template(name, self._template_dir)
+            self._templates[name] = load_template(name)
         return self._templates[name]
 
     def stats(self) -> tuple[int, int]:

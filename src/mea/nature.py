@@ -7,6 +7,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, TypeVar
 
+from . import InputFileError, read_text, split_fields
+
 T = TypeVar("T", bound=Hashable)
 
 
@@ -61,11 +63,8 @@ class NoOppositeError(GraphError):
         super().__init__(f"node {node.value} has no polar opposite")
 
 
-class GraphFileError(GraphError):
-    def __init__(self, path: str, line_no: int, message: str):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+class GraphFileError(GraphError, InputFileError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -237,14 +236,11 @@ def load_graph_file(path: str | Path) -> NatureGraph:
     """Read an edge-list override file: head<TAB>tail<TAB>0|1 per line, # comments."""
     edges: list[NatureEdge] = []
     path = Path(path)
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, GraphFileError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise GraphFileError(str(path), line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        head_s, tail_s, flag = fields
+        head_s, tail_s, flag = split_fields(line, 3, path, line_no, GraphFileError)
         try:
             head = NatureNodeId(head_s)
             tail = NatureNodeId(tail_s)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import random
@@ -13,9 +14,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from . import InputFileError, read_text
 from .belief import BeliefLexicon
 from .dag import MeaDag, build_mea_dag, dumps_dag, to_dot
-from .extraction import ConlluError, ParsedSentence, parse_conllu
+from .extraction import ACTION_PATTERNS, ConlluError, ParsedSentence, parse_conllu
 from .llm import LlmClient, LlmParseError
 from .nature import NatureGraph, NatureNodeId
 
@@ -33,7 +35,7 @@ ERROR_DISPLAY_NAMES = {
 
 ERROR_TYPES = tuple(ERROR_DISPLAY_NAMES)
 
-PATTERN_IDS = tuple(f"P{i}" for i in range(1, 11)) + ("STATE",)
+PATTERN_IDS = tuple(p.pattern_id for p in ACTION_PATTERNS) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
 
@@ -117,7 +119,7 @@ def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[Rev
             records.append(ReviewRecord(review_id, text))
         block = {}
 
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path, InputFileError).splitlines():
         line = raw.strip()
         if not line:
             flush()
@@ -130,11 +132,14 @@ def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[Rev
 
 
 def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[ReviewRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(read_text(path, InputFileError), newline=""))
+    try:
         if reader.fieldnames is None or "Id" not in reader.fieldnames or "Text" not in reader.fieldnames:
             raise ValueError(f"{path}: csv must have Id and Text columns")
         rows = [((row.get("Id") or "").strip(), (row.get("Text") or "").strip()) for row in reader]
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        # DictReader.line_num lags on a failed row; its inner reader's does not.
+        raise InputFileError(str(path), reader.reader.line_num, str(exc)) from None
     # A parse names only its review id, so no row of a repeated id can be trusted.
     id_rows = Counter(review_id for review_id, _ in rows)
     records: list[ReviewRecord] = []

@@ -65,6 +65,15 @@ def test_missing_reviews_file_is_fatal(tmp_path):
     )
 
 
+def test_non_utf8_reviews_file_is_fatal_with_file_and_line(tmp_path, caplog):
+    reviews = tmp_path / "reviews.csv"
+    reviews.write_bytes("Id,Text\n1,caf\u00e9 au lait\n".encode("latin-1"))
+    args = run_args(tmp_path / "out", classifier="heuristic")
+    args[args.index("--reviews") + 1] = str(reviews)
+    assert main(args) == 1
+    assert "reviews.csv:2: not valid UTF-8" in caplog.text
+
+
 def test_replay_without_fixture_is_fatal(tmp_path):
     args = run_args(tmp_path / "out")
     args.remove("--replay-fixture")

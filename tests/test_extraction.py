@@ -401,6 +401,13 @@ def test_state_event_spans_root_subtree_without_punct():
     assert event.subject_lemma == "it"
 
 
+def test_state_event_keeps_a_punct_labelled_verbal_root():
+    s = sentence([("Wow", "wow", "VB", 0, "punct"), ("!", "!", ".", 1, "punct")])
+    event = extract_state_event(s)
+    assert event.token_indices == (1,)
+    assert event.verb_index == 1
+
+
 def test_state_event_for_copular_predicate():
     s = sentence(
         [

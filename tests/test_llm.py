@@ -123,6 +123,36 @@ def test_cache_rejects_label_outside_set(tmp_path):
         LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
 
 
+_ENTRY = {
+    "key": cache_key("classify_action", "I buy it", "glm-4"),
+    "template": "classify_action",
+    "input": "I buy it",
+    "model": "glm-4",
+    "raw_response": "physical",
+    "parsed_label": "physical",
+    "timestamp": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1]",
+        "[" * 100_000,
+        json.dumps({**_ENTRY, "template": ["x"]}),
+        json.dumps({**_ENTRY, "input": 5}),
+        json.dumps({**_ENTRY, "input": "\ud800"}),
+    ],
+    ids=["list", "deeply-nested", "list-template", "number-input", "lone-surrogate"],
+)
+def test_cache_rejects_lines_that_are_not_objects_of_strings(tmp_path, line):
+    path = tmp_path / "fixture.jsonl"
+    path.write_text(json.dumps(_ENTRY) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError) as exc:
+        LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
+    assert exc.value.line_no == 2
+
+
 # --- replay mode -------------------------------------------------------------
 
 def test_replay_classification_without_network(replay_client):

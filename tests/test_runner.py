@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import make_replay_client
+from mea import InputFileError
 from mea.belief import load_lexicon
 from mea.nature import default_graph
 from mea.runner import (
@@ -68,6 +69,15 @@ def test_ingest_csv_requires_columns(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         ingest_reviews(path, "csv")
+
+
+def test_ingest_csv_field_over_the_csv_limit_names_file_and_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("Id,Text\n1,ok\n2," + "x" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(InputFileError) as exc:
+        ingest_reviews(path, "csv")
+    assert exc.value.path == str(path)
+    assert exc.value.line_no == 3
 
 
 # --- pipeline runs -----------------------------------------------------------
