@@ -7,6 +7,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from . import InputFileError, belief, read_text
 from .belief import BeliefLexicon
@@ -130,18 +131,26 @@ def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str | Path, use: Callable[[Any], dict]) -> dict:
+    """Apply use to the JSON document in path; a syntax error or a missing or mistyped field names the file."""
+    try:
+        return use(json.loads(read_text(path, InputFileError)))
+    except json.JSONDecodeError as exc:
+        raise InputFileError(str(path), exc.lineno, f"invalid JSON: {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputFileError(str(path), 0, f"missing or mistyped field: {exc}") from None
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     index_path = Path(args.index) / "index.json"
-    entries = json.loads(read_text(index_path, InputFileError))
-    manifest = sample_for_evaluation(entries, args.n, args.seed)
+    manifest = _read_json(index_path, lambda entries: sample_for_evaluation(entries, args.n, args.seed))
     Path(args.out).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"{len(manifest['entries'])} samples -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    manifest = json.loads(read_text(args.manifest, InputFileError))
-    report = report_errors(manifest)
+    report = _read_json(args.manifest, report_errors)
     print(render_report(report), end="")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -168,3 +177,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -177,10 +177,7 @@ def build_mea_dag(
     link_perceptions(indexed, lexicon, graph, dag)
     dag.activated = forward_transmit(dag.activated, graph)
     link_actions(indexed, dag, classifier)
-    dag.nature_edges = sorted(
-        (e for e in graph.edges if e.head in dag.activated and e.tail in dag.activated),
-        key=lambda e: (NODE_ORDER[e.head], NODE_ORDER[e.tail]),
-    )
+    dag.nature_edges = [e for e in graph.ordered_edges if e.head in dag.activated and e.tail in dag.activated]
     dag.valid = is_valid(dag)
     return dag
 

@@ -70,9 +70,6 @@ class ParsedSentence:
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]
 
-    def children(self, index: int) -> tuple[Token, ...]:
-        return tuple(t for t in self.tokens if t.head == index)
-
 
 @dataclass(frozen=True)
 class Event:
@@ -334,16 +331,16 @@ def extract_state_event(sentence: ParsedSentence) -> Event | None:
     other than the verb; the verb slot is the root itself or its copula.
     """
     root = sentence.root
+    # The root's first dependent of each relation: a reversed scan lets the lowest index win.
+    first = {t.deprel: t for t in reversed(sentence.tokens) if t.head == root.index}
     if _is_verb(root):
         verb_index = root.index
+    elif "cop" in first:
+        verb_index = first["cop"].index
     else:
-        cops = [c for c in sentence.children(root.index) if c.deprel == "cop"]
-        if not cops:
-            return None
-        verb_index = min(c.index for c in cops)
+        return None
     indices = tuple(t.index for t in sentence.tokens if t.deprel != "punct" or t.index == verb_index)
-    subjects = [c for c in sentence.children(root.index) if c.deprel == "nsubj"]
-    subject_lemma = min(subjects, key=lambda t: t.index).lemma if subjects else None
+    subject_lemma = first["nsubj"].lemma if "nsubj" in first else None
     return Event(
         sentence=sentence,
         token_indices=indices,

@@ -14,9 +14,10 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -126,15 +127,9 @@ class ClientConfig:
         return cls(**base)
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    template: str
-    input: str
-    model: str
-    raw_response: str
-    parsed_label: str
-    timestamp: float
+# The fields of a cache line, in the order they are written.
+_CACHE_FIELDS = ("key", "template", "input", "model", "raw_response", "parsed_label", "timestamp")
+_cache_fields = itemgetter(*_CACHE_FIELDS)  # raises KeyError for the first missing field
 
 
 def cache_key(template: str, input_text: str, model: str) -> str:
@@ -143,8 +138,8 @@ def cache_key(template: str, input_text: str, model: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _load_entries(path: Path) -> dict[str, CacheEntry]:
-    entries: dict[str, CacheEntry] = {}
+def _load_entries(path: Path) -> dict[str, str]:
+    labels: dict[str, str] = {}
     for line_no, raw in enumerate(read_text(path, CacheFormatError).splitlines(), start=1):
         if not raw.strip():
             continue
@@ -155,30 +150,21 @@ def _load_entries(path: Path) -> dict[str, CacheEntry]:
         if not isinstance(doc, dict):
             raise CacheFormatError(str(path), line_no, "expected a JSON object")
         try:
-            entry = CacheEntry(
-                key=doc["key"],
-                template=doc["template"],
-                input=doc["input"],
-                model=doc["model"],
-                raw_response=doc["raw_response"],
-                parsed_label=doc["parsed_label"],
-                timestamp=doc["timestamp"],
-            )
+            key, template, input_text, model, _, label, _ = _cache_fields(doc)
         except KeyError as exc:
             raise CacheFormatError(str(path), line_no, f"missing field {exc}") from None
         try:
-            if entry.template not in _TEMPLATE_LABELS:
-                raise CacheFormatError(str(path), line_no, f"unknown template {entry.template!r}")
-            labels, _ = _TEMPLATE_LABELS[entry.template]
-            if entry.parsed_label not in labels:
-                raise CacheFormatError(str(path), line_no, f"label {entry.parsed_label!r} not allowed")
-            expected = cache_key(entry.template, entry.input, entry.model)
+            if template not in _TEMPLATE_LABELS:
+                raise CacheFormatError(str(path), line_no, f"unknown template {template!r}")
+            if label not in _TEMPLATE_LABELS[template][0]:
+                raise CacheFormatError(str(path), line_no, f"label {label!r} not allowed")
+            expected = cache_key(template, input_text, model)
         except TypeError:  # a list, object or number where a string belongs
             raise CacheFormatError(str(path), line_no, "template, input, model and label must be strings") from None
-        if entry.key != expected:
+        if key != expected:
             raise CacheFormatError(str(path), line_no, "key does not match entry fields")
-        entries[entry.key] = entry
-    return entries
+        labels[key] = label
+    return labels
 
 
 def _http_transport(config: ClientConfig, prompt: str) -> str:
@@ -247,8 +233,8 @@ class LlmClient:
         self._in_flight = threading.Semaphore(MAX_IN_FLIGHT)
         self.calls = 0
         self.cache_hits = 0
-        # Replay answers from the fixture alone; live mode from its own cache file.
-        self._cache: dict[str, CacheEntry] = {}
+        # Labels by cache key: replay answers from the fixture alone; live mode from its own cache file.
+        self._cache: dict[str, str] = {}
         if config.mode is ClientMode.REPLAY:
             self._cache = _load_entries(config.fixture_path)
         elif config.mode is ClientMode.LIVE and config.cache_path is not None and Path(config.cache_path).exists():
@@ -274,7 +260,7 @@ class LlmClient:
         label = self._complete(self.template("classify_action"), text)
         return _LABEL_TO_CLASS[label]
 
-    def filter_candidates(self, words: Sequence[str], template: PromptTemplate | str) -> list[str]:
+    def filter_candidates(self, words: Sequence[str], template_name: str) -> list[str]:
         """Keep the words the model accepts; on a parse failure keep the word.
 
         Rule-based compilation already admitted every candidate, so an
@@ -282,8 +268,7 @@ class LlmClient:
         """
         if not words:
             raise ValueError("words must be non-empty")
-        if isinstance(template, str):
-            template = self.template(template)
+        template = self.template(template_name)
         if template.keep_label is None:
             raise ValueError(f"template {template.name!r} is not a filter template")
         if self.config.mode is ClientMode.HEURISTIC:
@@ -308,7 +293,7 @@ class LlmClient:
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
-                return cached.parsed_label
+                return cached
         if self.config.mode is ClientMode.REPLAY:
             raise ReplayMissError(
                 f"no fixture entry for template={template.name!r} input={input_text!r} "
@@ -321,12 +306,12 @@ class LlmClient:
             raise LlmParseError(
                 f"response is not one of {sorted(template.expected_labels)}", raw_response=raw
             )
-        entry = CacheEntry(key, template.name, input_text, self.config.model, raw, label, time.time())
+        line = (key, template.name, input_text, self.config.model, raw, label, time.time())
         with self._lock:
-            self._cache[key] = entry
+            self._cache[key] = label
             if self.config.cache_path is not None:
                 with open(self.config.cache_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry.__dict__) + "\n")
+                    fh.write(json.dumps(dict(zip(_CACHE_FIELDS, line))) + "\n")
         return label
 
     def _request(self, prompt: str) -> str:

@@ -79,7 +79,7 @@ class NatureEdge:
 
 
 class NatureGraph:
-    """Immutable directed graph over the 13 node ids.
+    """Immutable directed graph over the 13 node ids; ordered_edges sorts its edges in node order.
 
     Construction only rejects structurally broken input (duplicate head/tail
     pairs); acyclicity and the exact node set are checked by validate_graph so
@@ -91,15 +91,13 @@ class NatureGraph:
         self.nodes: frozenset[NatureNodeId] = (
             frozenset(nodes) if nodes is not None else frozenset(NatureNodeId)
         )
-        seen: set[tuple[NatureNodeId, NatureNodeId]] = set()
-        for e in self.edges:
-            pair = (e.head, e.tail)
-            if pair in seen:
-                raise ValueError(f"duplicate edge {e.head.value} -> {e.tail.value}")
-            seen.add(pair)
+        self.ordered_edges = tuple(sorted(self.edges, key=lambda e: (NODE_ORDER[e.head], NODE_ORDER[e.tail])))
         tails: dict[NatureNodeId, list[NatureEdge]] = {}
-        for e in sorted(self.edges, key=lambda e: (NODE_ORDER[e.head], NODE_ORDER[e.tail])):
-            tails.setdefault(e.head, []).append(e)
+        for e in self.ordered_edges:
+            out = tails.setdefault(e.head, [])
+            if out and out[-1].tail == e.tail:  # sorting puts a duplicate pair side by side
+                raise ValueError(f"duplicate edge {e.head.value} -> {e.tail.value}")
+            out.append(e)
         self._out = {h: tuple(es) for h, es in tails.items()}
 
     def out_edges(self, head: NatureNodeId) -> tuple[NatureEdge, ...]:

@@ -50,7 +50,6 @@ _CONTROL_CHAR = re.compile(rf"[{_CONTROL_CHARS}]")
 class ReviewRecord:
     review_id: str
     text: str
-    sentence_count: int = 0
 
 
 @dataclass
@@ -64,9 +63,6 @@ class CorpusStats:
     pattern_counts: dict[str, int] = field(default_factory=lambda: {p: 0 for p in PATTERN_IDS})
     classifier_calls: int = 0
     classifier_cache_hits: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class ReportValidationError(Exception):
@@ -176,8 +172,6 @@ def load_parse_dir(
             continue
         for sentence in sentences:
             by_review.setdefault(sentence.review_id, []).append(sentence)
-    for sentences in by_review.values():
-        sentences.sort(key=lambda s: s.sentence_index)
     return by_review
 
 
@@ -197,17 +191,14 @@ def run_pipeline(
     Per-review failures are logged and counted, never abort the batch.
     Classifier verdicts that fail to parse skip just the affected event.
     """
-    known_ids = {r.review_id for r in reviews}
-    if failures is not None:
-        known_ids |= {rid for rid, _ in failures}
-    unknown = sorted(set(parses) - known_ids)
+    if failures is None:
+        failures = []
+    unknown = sorted(set(parses) - {r.review_id for r in reviews} - {rid for rid, _ in failures})
     if unknown:
         raise ValueError(f"parse files reference unknown review ids: {', '.join(unknown)}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if failures is None:
-        failures = []
 
     def classify(text: str):
         try:
@@ -229,8 +220,6 @@ def run_pipeline(
 
     stats = CorpusStats(total_reviews=len(reviews))
     work = [r for r in reviews if r.review_id in parses]
-    for record in work:
-        record.sentence_count = len(parses[record.review_id])
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = list(pool.map(build_one, work))
@@ -245,18 +234,16 @@ def run_pipeline(
         stats.reviews_with_events += 1
         for event in result.events:
             stats.pattern_counts[event.pattern_id] += 1
-        has_pos = NatureNodeId.NEED_FOOD_POS in result.activated
-        has_neg = NatureNodeId.NEED_FOOD_NEG in result.activated
         if result.valid:
             stats.valid_dags += 1
-        elif has_pos and has_neg:
+        elif NatureNodeId.NEED_FOOD_NEG in result.activated:  # an invalid graph with need_food_neg has both needs
             stats.invalid_both_needs += 1
         else:
             stats.invalid_no_need += 1
         index_entries.append(
             {
                 "review_id": record.review_id,
-                "sentence_count": record.sentence_count,
+                "sentence_count": len(parses[record.review_id]),
                 "valid": result.valid,
             }
         )
@@ -266,7 +253,7 @@ def run_pipeline(
 
     index_entries.sort(key=lambda e: e["review_id"])
     (out_dir / "index.json").write_text(json.dumps(index_entries, indent=2) + "\n", encoding="utf-8")
-    (out_dir / "stats.json").write_text(json.dumps(stats.to_json(), indent=2) + "\n", encoding="utf-8")
+    (out_dir / "stats.json").write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
     if failures:
         lines = [f"{_escape_controls(rid)}\t{_escape_controls(reason)}" for rid, reason in failures]
         (out_dir / "failures.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -327,7 +314,7 @@ def report_errors(manifest: dict) -> dict:
     """Aggregate filled annotations into counts and percentages per column."""
     offenders = []
     for entry in manifest["entries"]:
-        for ann in entry.get("annotations", []):
+        for ann in entry["annotations"]:
             if ann.get("error_type") not in ERROR_TYPES:
                 offenders.append(str(ann.get("error_type")))
     if offenders:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from conftest import DATA
 from mea.cli import main
@@ -125,3 +130,38 @@ def test_compile_lexicon_without_filter(tmp_path):
     assert code == 0
     words = {line.split("\t")[0] for line in out.read_text().splitlines()[1:]}
     assert "gleeful" in words and "mess" in words
+
+
+@pytest.mark.parametrize(
+    ("name", "text", "message"),
+    [
+        ("manifest.json", '{"entries": [', ":1: invalid JSON: Expecting value: line 1 column 14"),
+        ("manifest.json", "{}", ":0: missing or mistyped field: 'entries'"),
+        ("manifest.json", '{"entries": [{"annotations": []}]}', ":0: missing or mistyped field: 'split'"),
+        ("manifest.json", '{"entries": [{"split": "short"}]}', ":0: missing or mistyped field: 'annotations'"),
+        ("manifest.json", '{"entries": [{"split": "short", "annotations": ["x"]}]}', ":0: missing or mistyped field: "),
+        ("index.json", '[{"review_id": "1", "sentence_count": 2}]', ":0: missing or mistyped field: 'valid'"),
+    ],
+    ids=["truncated", "no-entries", "no-split", "no-annotations", "annotation-not-object", "index-no-valid"],
+)
+def test_malformed_sample_and_report_inputs_name_the_file(tmp_path, caplog, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name == "index.json":
+        args = ["sample", "--index", str(tmp_path), "--n", "1", "--seed", "0", "--out", str(tmp_path / "m.json")]
+    else:
+        args = ["report", "--manifest", str(path)]
+    assert main(args) == 1
+    assert f"{path}{message}" in caplog.text
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(DATA.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    missing = tmp_path / "missing.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "mea.cli", "report", "--manifest", str(missing)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert str(missing) in result.stderr

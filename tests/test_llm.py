@@ -153,6 +153,16 @@ def test_cache_rejects_lines_that_are_not_objects_of_strings(tmp_path, line):
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("name", list(_ENTRY))
+def test_cache_line_missing_a_field_names_it(tmp_path, name):
+    path = tmp_path / "fixture.jsonl"
+    line = {k: v for k, v in _ENTRY.items() if k != name}
+    path.write_text(json.dumps(_ENTRY) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError, match=f"missing field '{name}'") as exc:
+        LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
+    assert exc.value.line_no == 2
+
+
 # --- replay mode -------------------------------------------------------------
 
 def test_replay_classification_without_network(replay_client):
@@ -206,6 +216,17 @@ def test_live_classification_parses_labels(tmp_path):
     client = live_client(transport, tmp_path)
     assert client.classify_action_event("I wash the apples") is ActionClass.PHYSICAL
     assert len(transport.calls) == 1
+
+
+def test_live_client_appends_cache_lines_with_fields_in_order(tmp_path):
+    transport = RecordingTransport({"I wash the apples": " Physical \n"})
+    live_client(transport, tmp_path).classify_action_event("I wash the apples")
+    (line,) = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(line)
+    assert list(doc) == ["key", "template", "input", "model", "raw_response", "parsed_label", "timestamp"]
+    assert doc["key"] == cache_key("classify_action", "I wash the apples", "glm-4")
+    assert (doc["template"], doc["input"], doc["model"]) == ("classify_action", "I wash the apples", "glm-4")
+    assert (doc["raw_response"], doc["parsed_label"]) == (" Physical \n", "physical")
 
 
 def test_repeat_calls_hit_the_cache(tmp_path):

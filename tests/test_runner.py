@@ -1,7 +1,11 @@
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_replay_client
 from mea import InputFileError
@@ -124,6 +128,48 @@ def test_pipeline_is_deterministic_across_workers(data_dir, tmp_path):
     run_fixture_corpus(data_dir, out2, workers=4)
     for path in sorted(out1.iterdir()):
         assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fixture_corpus(data_dir):
+    reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv")
+    return reviews, load_parse_dir(data_dir / "corpus" / "parses"), load_lexicon(data_dir / "lexicon.tsv")
+
+
+def run_reviews(corpus, ids, out_dir, workers=1):
+    """Run the fixture reviews `ids`, in that order; return their graph bytes and index entries by id."""
+    reviews, parses, lexicon = corpus
+    by_id = {r.review_id: r for r in reviews}
+    run_pipeline(
+        [by_id[i] for i in ids],
+        {i: parses[i] for i in ids},
+        default_graph(),
+        lexicon,
+        make_replay_client(),
+        out_dir,
+        workers=workers,
+    )
+    graphs = {p.stem: p.read_bytes() for p in out_dir.glob("*.json") if p.stem not in ("index", "stats")}
+    index = {e["review_id"]: e for e in json.loads((out_dir / "index.json").read_text())}
+    return graphs, index
+
+
+FIXTURE_IDS = [str(i) for i in range(1, 21)]
+
+
+@pytest.fixture(scope="module")
+def full_run(fixture_corpus, tmp_path_factory):
+    return run_reviews(fixture_corpus, FIXTURE_IDS, tmp_path_factory.mktemp("full") / "out")
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.sampled_from(FIXTURE_IDS), min_size=1, unique=True), workers=st.sampled_from([1, 3]))
+def test_review_outputs_do_not_depend_on_the_rest_of_the_batch(fixture_corpus, full_run, ids, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        graphs, index = run_reviews(fixture_corpus, ids, Path(tmp) / "out", workers)
+    full_graphs, full_index = full_run
+    assert graphs == {i: full_graphs[i] for i in ids if i in full_graphs}
+    assert index == {i: full_index[i] for i in ids if i in full_index}
 
 
 def test_empty_corpus_yields_zero_stats(data_dir, tmp_path):
