@@ -22,7 +22,7 @@ from .runner import (
     sample_for_evaluation,
 )
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("mea.cli")  # not __name__, which is "__main__" under python -m mea.cli
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -134,9 +134,13 @@ def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
 def _read_json(path: str | Path, use: Callable[[Any], dict]) -> dict:
     """Apply use to the JSON document in path; a syntax error or a missing or mistyped field names the file."""
     try:
-        return use(json.loads(read_text(path, InputFileError)))
+        doc = json.loads(read_text(path, InputFileError))
     except json.JSONDecodeError as exc:
         raise InputFileError(str(path), exc.lineno, f"invalid JSON: {exc}") from None
+    except RecursionError as exc:  # nested too deep for the decoder; it gives no position
+        raise InputFileError(str(path), 0, f"invalid JSON: {exc}") from None
+    try:
+        return use(doc)
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputFileError(str(path), 0, f"missing or mistyped field: {exc}") from None
 

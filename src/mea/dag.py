@@ -109,6 +109,11 @@ def link_perceptions(
     return dag
 
 
+def needs_classifier(event: Event) -> bool:
+    """A first-person action event the classifier labels: not STATE, not past tense."""
+    return event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
+
+
 def link_actions(
     events: Sequence[tuple[str, Event]],
     dag: MeaDag,
@@ -121,11 +126,10 @@ def link_actions(
     otherwise they are recorded as unlinked.
     """
     for event_id, event in events:
-        if event.pattern_id == "STATE":
-            continue
-        if classify_tense(event) is Tense.PAST:
-            dag.links.append(DagLink(event_id, NatureNodeId.PAST_EXPERIENCE, Justification.past_tense()))
-            dag.activated.add(NatureNodeId.PAST_EXPERIENCE)
+        if not needs_classifier(event):
+            if event.pattern_id != "STATE":  # a past action
+                dag.links.append(DagLink(event_id, NatureNodeId.PAST_EXPERIENCE, Justification.past_tense()))
+                dag.activated.add(NatureNodeId.PAST_EXPERIENCE)
             continue
         action_class = classifier(event.text)
         if action_class is None:
@@ -145,14 +149,13 @@ def is_valid(dag: MeaDag) -> bool:
     )
 
 
-def build_mea_dag(
+def prepare_mea_dag(
     sentences: Sequence[ParsedSentence],
     graph: NatureGraph,
     lexicon: BeliefLexicon,
-    classifier: ActionClassifier,
     review_id: str | None = None,
-) -> MeaDag:
-    """Run the full per-review pipeline: extract, perceive, transmit, act."""
+) -> tuple[MeaDag, list[tuple[str, Event]]]:
+    """The classifier-free half of a review: extract, perceive, transmit; returns the graph and its events by id."""
     ids = {s.review_id for s in sentences}
     if len(ids) > 1:
         raise ValueError(f"sentences span multiple reviews: {sorted(ids)}")
@@ -171,15 +174,35 @@ def build_mea_dag(
         EventNode(event_id, event.text, event.pattern_id, event.negated)
         for event_id, event in indexed
     ]
-    if not indexed:
-        return dag
+    if indexed:
+        link_perceptions(indexed, lexicon, graph, dag)
+        dag.activated = forward_transmit(dag.activated, graph)
+    return dag, indexed
 
-    link_perceptions(indexed, lexicon, graph, dag)
-    dag.activated = forward_transmit(dag.activated, graph)
-    link_actions(indexed, dag, classifier)
+
+def finish_mea_dag(
+    dag: MeaDag,
+    events: Sequence[tuple[str, Event]],
+    graph: NatureGraph,
+    classifier: ActionClassifier,
+) -> MeaDag:
+    """The classifier half of a review: link actions, keep the edges among activated nodes, judge validity."""
+    link_actions(events, dag, classifier)
     dag.nature_edges = [e for e in graph.ordered_edges if e.head in dag.activated and e.tail in dag.activated]
     dag.valid = is_valid(dag)
     return dag
+
+
+def build_mea_dag(
+    sentences: Sequence[ParsedSentence],
+    graph: NatureGraph,
+    lexicon: BeliefLexicon,
+    classifier: ActionClassifier,
+    review_id: str | None = None,
+) -> MeaDag:
+    """Run the full per-review pipeline: extract, perceive, transmit, act."""
+    dag, events = prepare_mea_dag(sentences, graph, lexicon, review_id)
+    return finish_mea_dag(dag, events, graph, classifier)
 
 
 # --- serialization ---------------------------------------------------------

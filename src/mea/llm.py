@@ -14,6 +14,7 @@ import logging
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -218,6 +219,13 @@ def heuristic_classifier(text: str) -> ActionClass:
     return ActionClass.PHYSICAL
 
 
+def _outcome(classify: Callable[[str], ActionClass], text: str) -> ActionClass | Exception:
+    try:
+        return classify(text)
+    except Exception as exc:  # the caller decides, per text, what an error means
+        return exc
+
+
 class LlmClient:
     """Thread-safe completion client with an append-only response cache."""
 
@@ -259,6 +267,33 @@ class LlmClient:
             return heuristic_classifier(text)
         label = self._complete(self.template("classify_action"), text)
         return _LABEL_TO_CLASS[label]
+
+    def needs_request(self, text: str) -> bool:
+        """Whether classify_action_event(text) would wait on the endpoint: a live cache miss."""
+        if self.config.mode is not ClientMode.LIVE or not text.strip():
+            return False
+        key = cache_key("classify_action", text, self.config.model)
+        with self._lock:
+            return key not in self._cache
+
+    def classify_action_events(self, texts: Sequence[str]) -> list[ActionClass | Exception]:
+        """Classify each text, counted as one classify_action_event call per text.
+
+        Cached, fixture and heuristic texts are answered in this thread. Each
+        distinct live miss is requested once, at most MAX_IN_FLIGHT at a time,
+        and its repeats count as cache hits. Each text gets its class, or the
+        exception classifying it raised.
+        """
+        misses = list(dict.fromkeys(filter(self.needs_request, texts)))
+        fetched: dict[str, ActionClass | Exception] = {}
+        if misses:
+            with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+                fetched = dict(zip(misses, pool.map(lambda text: _outcome(self.classify_action_event, text), misses)))
+            repeats = sum(text in fetched for text in texts) - len(fetched)
+            with self._lock:
+                self.calls += repeats
+                self.cache_hits += repeats
+        return [fetched[text] if text in fetched else _outcome(self.classify_action_event, text) for text in texts]
 
     def filter_candidates(self, words: Sequence[str], template_name: str) -> list[str]:
         """Keep the words the model accepts; on a parse failure keep the word.

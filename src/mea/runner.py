@@ -12,12 +12,13 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import InputFileError, read_text
 from .belief import BeliefLexicon
-from .dag import MeaDag, build_mea_dag, dumps_dag, to_dot
-from .extraction import ACTION_PATTERNS, ConlluError, ParsedSentence, parse_conllu
+# build_mea_dag is no longer called here but stays importable: perfbench/batch.py traces it by name.
+from .dag import ActionClass, MeaDag, build_mea_dag, dumps_dag, finish_mea_dag, needs_classifier, prepare_mea_dag, to_dot  # noqa: F401
+from .extraction import ACTION_PATTERNS, ConlluError, Event, ParsedSentence, parse_conllu
 from .llm import LlmClient, LlmParseError
 from .nature import NatureGraph, NatureNodeId
 
@@ -38,6 +39,8 @@ ERROR_TYPES = tuple(ERROR_DISPLAY_NAMES)
 PATTERN_IDS = tuple(p.pattern_id for p in ACTION_PATTERNS) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
+
+CHUNK_REVIEWS = 256  # reviews in flight at once; bounds the prepared state held while classifying
 
 # A review id names its output files, so it may not hold a path separator or
 # a control character (C0, DEL or C1); failures.log escapes control characters.
@@ -63,6 +66,21 @@ class CorpusStats:
     pattern_counts: dict[str, int] = field(default_factory=lambda: {p: 0 for p in PATTERN_IDS})
     classifier_calls: int = 0
     classifier_cache_hits: int = 0
+
+
+# What the corpus stats need of a written graph. Keeping this, not the graph,
+# lets each graph die young instead of in a full garbage collection.
+class _Built(NamedTuple):
+    pattern_ids: tuple[str, ...]
+    valid: bool
+    both_needs: bool
+
+
+class _Prepared(NamedTuple):  # a review built up to its classifier calls
+    record: ReviewRecord
+    dag: MeaDag
+    events: list[tuple[str, Event]]
+    texts: list[str]  # what its action events ask the classifier, in event order
 
 
 class ReportValidationError(Exception):
@@ -200,43 +218,68 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def classify(text: str):
-        try:
-            return client.classify_action_event(text)
-        except LlmParseError as exc:
-            log.warning("unparseable classifier verdict for %r (%r); skipping event", text, exc.raw_response)
-            return None
+    def finish(review: _Prepared, answers: dict[str, ActionClass | Exception]) -> _Built | Exception:
+        def classify(text: str) -> ActionClass | None:
+            answer = answers[text]
+            if isinstance(answer, LlmParseError):
+                log.warning("unparseable classifier verdict for %r (%r); skipping event", text, answer.raw_response)
+                return None
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
 
-    def build_one(record: ReviewRecord) -> MeaDag | Exception:
         try:
-            dag = build_mea_dag(parses[record.review_id], graph, lexicon, classify)
+            dag = finish_mea_dag(review.dag, review.events, graph, classify)
             if dag.events:
-                (out_dir / f"{record.review_id}.json").write_text(dumps_dag(dag), encoding="utf-8")
+                (out_dir / f"{review.record.review_id}.json").write_text(dumps_dag(dag), encoding="utf-8")
                 if write_dot:
-                    (out_dir / f"{record.review_id}.dot").write_text(to_dot(dag), encoding="utf-8")
-            return dag
+                    (out_dir / f"{review.record.review_id}.dot").write_text(to_dot(dag), encoding="utf-8")
+            # an invalid graph with need_food_neg has both needs
+            both_needs = not dag.valid and NatureNodeId.NEED_FOOD_NEG in dag.activated
+            return _Built(tuple(e.pattern_id for e in dag.events), dag.valid, both_needs)
         except Exception as exc:  # quarantined per review
             return exc
 
+    def start(record: ReviewRecord) -> _Built | _Prepared | Exception:
+        """Prepare a review, and finish it too unless one of its texts waits on the endpoint."""
+        try:
+            dag, events = prepare_mea_dag(parses[record.review_id], graph, lexicon)
+            review = _Prepared(record, dag, events, [event.text for _, event in events if needs_classifier(event)])
+            if any(map(client.needs_request, review.texts)):
+                return review
+            answers = client.classify_action_events(review.texts)
+        except Exception as exc:  # quarantined per review
+            return exc
+        return finish(review, dict(zip(review.texts, answers)))
+
+    def built(work: list[ReviewRecord]):
+        """Yield (record, _Built or exception) in work order, one chunk at a time."""
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            for at in range(0, len(work), CHUNK_REVIEWS):
+                chunk = work[at : at + CHUNK_REVIEWS]
+                results = list(pool.map(start, chunk))
+                waiting = [r for r in results if isinstance(r, _Prepared)]
+                if waiting:  # classify their texts together, then finish them
+                    texts = [text for review in waiting for text in review.texts]
+                    answers = dict(zip(texts, client.classify_action_events(texts)))
+                    finished = pool.map(lambda review: finish(review, answers), waiting)
+                    results = [next(finished) if isinstance(r, _Prepared) else r for r in results]
+                yield from zip(chunk, results)
+
     stats = CorpusStats(total_reviews=len(reviews))
-    work = [r for r in reviews if r.review_id in parses]
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(build_one, work))
-
     index_entries = []
-    for record, result in zip(work, results):
+    for record, result in built([r for r in reviews if r.review_id in parses]):
         if isinstance(result, Exception):
             _skip(failures, record.review_id, f"pipeline error: {result}")
             continue
-        if not result.events:
+        if not result.pattern_ids:
             continue
         stats.reviews_with_events += 1
-        for event in result.events:
-            stats.pattern_counts[event.pattern_id] += 1
+        for pattern_id in result.pattern_ids:
+            stats.pattern_counts[pattern_id] += 1
         if result.valid:
             stats.valid_dags += 1
-        elif NatureNodeId.NEED_FOOD_NEG in result.activated:  # an invalid graph with need_food_neg has both needs
+        elif result.both_needs:
             stats.invalid_both_needs += 1
         else:
             stats.invalid_no_need += 1

@@ -165,3 +165,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert result.returncode == 1
     assert str(missing) in result.stderr
+
+
+def test_deeply_nested_manifest_names_the_file(tmp_path, caplog):
+    path = tmp_path / "manifest.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["report", "--manifest", str(path)]) == 1
+    assert f"{path}:0: invalid JSON: maximum recursion depth exceeded" in caplog.text
+
+
+def test_python_dash_m_logs_as_mea_cli(tmp_path):
+    src = str(DATA.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "mea.cli", "report", "--manifest", str(tmp_path / "missing.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("ERROR mea.cli: ")

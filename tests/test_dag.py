@@ -15,11 +15,14 @@ from mea.dag import (
     MeaDag,
     build_mea_dag,
     dumps_dag,
+    finish_mea_dag,
     forward_transmit,
     from_json,
     is_valid,
     link_actions,
     link_perceptions,
+    needs_classifier,
+    prepare_mea_dag,
     to_dot,
     to_json,
 )
@@ -324,3 +327,21 @@ def test_dot_output_colors(data_dir, graph, lexicon, replay_client):
     assert '"need_food_pos" [color=red];' in dot
     assert "color=green" in dot
     assert "meatball" in dot  # quotes inside labels are escaped as \"
+
+
+def test_link_actions_asks_the_classifier_about_exactly_the_needs_classifier_events(data_dir, graph, lexicon):
+    for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
+        dag, events = prepare_mea_dag(parse_conllu(path), graph, lexicon)
+        asked = []
+        finish_mea_dag(dag, events, graph, lambda text: asked.append(text))
+        assert asked == [event.text for _, event in events if needs_classifier(event)]
+        assert all(event.pattern_id != "STATE" for _, event in events if needs_classifier(event))
+
+
+def test_prepare_then_finish_equals_build(data_dir, graph, lexicon):
+    client = make_replay_client()
+    for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
+        sentences = parse_conllu(path)
+        dag, events = prepare_mea_dag(sentences, graph, lexicon)
+        finished = finish_mea_dag(dag, events, graph, client.classify_action_event)
+        assert dumps_dag(finished) == dumps_dag(build_mea_dag(sentences, graph, lexicon, client.classify_action_event))

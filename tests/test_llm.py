@@ -1,11 +1,14 @@
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from conftest import DATA, make_replay_client
 from mea.dag import ActionClass
 from mea.llm import (
+    MAX_IN_FLIGHT,
     CacheFormatError,
     ClientConfig,
     ClientMode,
@@ -325,3 +328,74 @@ def test_heuristic_mode_client_needs_no_endpoint():
     client = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC), transport=RecordingTransport({}))
     assert client.classify_action_event("I consider the label") is ActionClass.MENTAL
     assert client.stats() == (1, 0)
+
+
+# --- classifying a sequence of texts -------------------------------------------
+
+def test_classify_action_events_requests_each_distinct_miss_once(tmp_path):
+    transport = RecordingTransport({"I wash": "physical", "I tell": "social", "I blorp": "no idea"})
+    client = live_client(transport, tmp_path, retries=0)
+    assert client.classify_action_event("I tell friends") is ActionClass.SOCIAL
+    texts = ["I wash it", "I tell friends", "I blorp", "I wash it", "I vanish", "I blorp"]
+    results = client.classify_action_events(texts)
+    assert results[:2] == [ActionClass.PHYSICAL, ActionClass.SOCIAL]
+    assert results[3] is ActionClass.PHYSICAL
+    assert isinstance(results[2], LlmParseError) and results[5] is results[2]
+    assert isinstance(results[4], LlmTransportError)
+    assert sorted(transport.calls) == sorted(
+        load_template("classify_action").render(t) for t in ["I tell friends", "I wash it", "I blorp", "I vanish"]
+    )
+    calls, hits = client.stats()
+    assert calls == 1 + len(texts)
+    assert hits == calls - len(transport.calls)
+
+
+def test_classify_action_events_answers_replay_and_heuristic_texts_in_place(replay_client):
+    results = replay_client.classify_action_events(["I buy it", "I juggle flaming torches", "I buy it"])
+    assert results[0] is results[2] is ActionClass.PHYSICAL
+    assert isinstance(results[1], ReplayMissError)
+    assert replay_client.stats() == (3, 2)
+    assert not replay_client.needs_request("I juggle flaming torches")
+    heuristic = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC))
+    assert heuristic.classify_action_events(["I recommend it", "  "])[0] is ActionClass.SOCIAL
+    assert isinstance(heuristic.classify_action_events(["  "])[0], ValueError)
+    assert heuristic.stats() == (1, 0)
+
+
+def test_classify_action_events_keeps_at_most_max_in_flight_requests(tmp_path):
+    lock, in_flight, peak = threading.Lock(), [0], [0]
+
+    def transport(config, prompt):
+        with lock:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        time.sleep(0.01)
+        with lock:
+            in_flight[0] -= 1
+        return "physical"
+
+    client = live_client(transport, tmp_path)
+    texts = [f"I eat dish {i}" for i in range(3 * MAX_IN_FLIGHT)]
+    assert client.classify_action_events(texts) == [ActionClass.PHYSICAL] * len(texts)
+    assert peak[0] == MAX_IN_FLIGHT
+
+
+def test_concurrent_classify_action_events_lose_no_count(tmp_path):
+    transport = RecordingTransport({"I eat": "physical"})
+    client = live_client(transport, tmp_path)
+    batches = [[f"I eat dish {(i * 7 + j) % 20}" for j in range(50)] for i in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client.classify_action_events, args=(texts,)) for texts in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    calls, hits = client.stats()
+    assert calls == sum(map(len, batches))
+    assert hits == calls - len(transport.calls)
+    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == len(transport.calls)

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_replay_client
+import mea.runner
+from conftest import DATA, make_replay_client
 from mea import InputFileError
 from mea.belief import load_lexicon
+from mea.extraction import Tense, classify_tense, extract_events
+from mea.llm import MAX_IN_FLIGHT, ClientConfig, ClientMode, LlmClient, LlmTransportError, load_template
 from mea.nature import default_graph
 from mea.runner import (
     ERROR_TYPES,
@@ -403,3 +407,145 @@ def test_render_report_layout():
     text = render_report(report_errors(manifest))
     assert "Negation Loss" in text
     assert "Short-Test" in text and "Long-Test" in text
+
+
+# --- live classification: each distinct miss requested once, requests overlapped ---
+
+def classifier_texts(parses):
+    """The texts each review asks the classifier about: its non-STATE, non-past events, in order."""
+    return {
+        review_id: [
+            event.text
+            for s in sorted(sentences, key=lambda s: s.sentence_index)
+            for event in extract_events(s)
+            if event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
+        ]
+        for review_id, sentences in parses.items()
+    }
+
+
+class FixtureTransport:
+    """Answers live prompts with the replay fixture's responses and records every prompt.
+
+    The first `together` requests wait for each other on a barrier, so they
+    only succeed when that many are in flight at once.
+    """
+
+    def __init__(self, together=1, fail=(), raw=None):
+        template = load_template("classify_action")
+        entries = [json.loads(line) for line in (DATA / "replay_classifier.jsonl").read_text().splitlines()]
+        self.answers = {template.render(e["input"]): e["raw_response"] for e in entries}
+        self.answers.update({template.render(text): response for text, response in (raw or {}).items()})
+        self.failing = {template.render(text) for text in fail}
+        self.barrier = threading.Barrier(together, timeout=5)
+        self.lock = threading.Lock()
+        self.prompts = []
+
+    def __call__(self, config, prompt):
+        with self.lock:
+            self.prompts.append(prompt)
+            first = len(self.prompts) <= self.barrier.parties
+        if first:
+            self.barrier.wait()
+        if prompt in self.failing:
+            raise LlmTransportError("endpoint refused the request")
+        return self.answers[prompt]
+
+
+def run_with_client(corpus, client, out_dir, workers):
+    reviews, parses, lexicon = corpus
+    failures = []
+    stats = run_pipeline(reviews, parses, default_graph(), lexicon, client, out_dir, workers=workers, failures=failures)
+    graphs = {p.stem: p.read_bytes() for p in out_dir.glob("*.json") if p.stem not in ("index", "stats")}
+    return stats, failures, graphs
+
+
+def live_client(transport, cache_path):
+    return LlmClient(ClientConfig(mode=ClientMode.LIVE, cache_path=cache_path, retries=0), transport=transport)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_live_run_requests_each_distinct_miss_once_with_requests_in_flight_together(
+    fixture_corpus, full_run, tmp_path, workers
+):
+    distinct = {text for texts in classifier_texts(fixture_corpus[1]).values() for text in texts}
+    transport = FixtureTransport(together=min(MAX_IN_FLIGHT, len(distinct)))
+    cache = tmp_path / "cache.jsonl"
+    stats, failures, graphs = run_with_client(fixture_corpus, live_client(transport, cache), tmp_path / "out", workers)
+    assert failures == []
+    assert not transport.barrier.broken
+    template = load_template("classify_action")
+    assert sorted(transport.prompts) == sorted(template.render(text) for text in distinct)
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == len(transport.prompts)
+    full_graphs, full_index = full_run
+    assert graphs == full_graphs
+    assert {e["review_id"]: e for e in json.loads((tmp_path / "out" / "index.json").read_text())} == full_index
+    assert stats.classifier_calls == 14
+    assert stats.classifier_cache_hits == stats.classifier_calls - len(transport.prompts)
+
+
+def test_chunked_live_run_requests_each_text_once_across_chunks(fixture_corpus, full_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.runner, "CHUNK_REVIEWS", 3)  # "I buy it" (reviews 4 and 20) lands in two chunks
+    distinct = {text for texts in classifier_texts(fixture_corpus[1]).values() for text in texts}
+    transport = FixtureTransport()
+    stats, failures, graphs = run_with_client(
+        fixture_corpus, live_client(transport, tmp_path / "cache.jsonl"), tmp_path / "out", workers=2
+    )
+    assert failures == []
+    assert sorted(transport.prompts) == sorted(load_template("classify_action").render(text) for text in distinct)
+    assert graphs == full_run[0]
+    assert (stats.classifier_calls, stats.classifier_cache_hits) == (14, 14 - len(distinct))
+
+
+# --- classifier failures quarantine or skip only what they name ---------------
+
+FAILING_TEXT = "I buy it"  # held by reviews 4 and 20
+
+
+def reviews_holding(corpus, text):
+    """The ids of the reviews whose action events ask the classifier about text, in review order."""
+    reviews, parses, _ = corpus
+    texts = classifier_texts(parses)
+    return [r.review_id for r in reviews if text in texts[r.review_id]]
+
+
+def test_transport_error_quarantines_only_the_reviews_holding_its_text(fixture_corpus, full_run, tmp_path):
+    transport = FixtureTransport(fail={FAILING_TEXT})
+    client = live_client(transport, tmp_path / "cache.jsonl")
+    stats, failures, graphs = run_with_client(fixture_corpus, client, tmp_path / "out", workers=3)
+    holding = reviews_holding(fixture_corpus, FAILING_TEXT)
+    assert holding == ["4", "20"]
+    assert failures == [(rid, "pipeline error: endpoint refused the request") for rid in holding]
+    assert stats.failed_reviews == 2
+    full_graphs, _ = full_run
+    assert graphs == {rid: g for rid, g in full_graphs.items() if rid not in holding}
+
+
+def test_unparseable_verdict_skips_only_its_event(fixture_corpus, full_run, tmp_path):
+    transport = FixtureTransport(raw={FAILING_TEXT: "banana"})
+    client = live_client(transport, tmp_path / "cache.jsonl")
+    stats, failures, graphs = run_with_client(fixture_corpus, client, tmp_path / "out", workers=3)
+    assert failures == []
+    full_graphs, _ = full_run
+    holding = reviews_holding(fixture_corpus, FAILING_TEXT)
+    for rid, full in full_graphs.items():
+        doc, expected = json.loads(graphs[rid]), json.loads(full)
+        if rid in holding:
+            (skipped,) = [e["id"] for e in expected["events"] if e["text"] == FAILING_TEXT]
+            expected["links"] = [link for link in expected["links"] if link["event_id"] != skipped]
+            expected["unlinked_events"] = [e for e in expected["unlinked_events"] if e != skipped]
+            assert skipped not in {link["event_id"] for link in doc["links"]} | set(doc["unlinked_events"])
+        assert doc == expected
+
+
+def test_replay_miss_quarantines_only_the_reviews_holding_its_text(fixture_corpus, full_run, tmp_path):
+    fixture = tmp_path / "fixture.jsonl"
+    lines = (DATA / "replay_classifier.jsonl").read_text(encoding="utf-8").splitlines()
+    fixture.write_text("".join(l + "\n" for l in lines if json.loads(l)["input"] != FAILING_TEXT), encoding="utf-8")
+    client = LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=fixture))
+    stats, failures, graphs = run_with_client(fixture_corpus, client, tmp_path / "out", workers=3)
+    holding = reviews_holding(fixture_corpus, FAILING_TEXT)
+    assert [rid for rid, _ in failures] == holding
+    assert all(reason.startswith("pipeline error: no fixture entry for template='classify_action'") for _, reason in failures)
+    full_graphs, _ = full_run
+    assert graphs == {rid: g for rid, g in full_graphs.items() if rid not in holding}
