@@ -110,7 +110,7 @@ def link_perceptions(
 
 
 def needs_classifier(event: Event) -> bool:
-    """A first-person action event the classifier labels: not STATE, not past tense."""
+    """Whether link_actions asks its classifier about this event: not STATE, not past tense."""
     return event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
 
 
@@ -126,10 +126,11 @@ def link_actions(
     otherwise they are recorded as unlinked.
     """
     for event_id, event in events:
-        if not needs_classifier(event):
-            if event.pattern_id != "STATE":  # a past action
-                dag.links.append(DagLink(event_id, NatureNodeId.PAST_EXPERIENCE, Justification.past_tense()))
-                dag.activated.add(NatureNodeId.PAST_EXPERIENCE)
+        if event.pattern_id == "STATE":
+            continue
+        if classify_tense(event) is Tense.PAST:
+            dag.links.append(DagLink(event_id, NatureNodeId.PAST_EXPERIENCE, Justification.past_tense()))
+            dag.activated.add(NatureNodeId.PAST_EXPERIENCE)
             continue
         action_class = classifier(event.text)
         if action_class is None:

@@ -14,7 +14,8 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -219,15 +220,29 @@ def heuristic_classifier(text: str) -> ActionClass:
     return ActionClass.PHYSICAL
 
 
-def _outcome(classify: Callable[[str], ActionClass], text: str) -> ActionClass | Exception:
-    try:
-        return classify(text)
-    except Exception as exc:  # the caller decides, per text, what an error means
-        return exc
+def _settled(outcome: ActionClass | Exception | Future[str]) -> ActionClass | Exception:
+    if not isinstance(outcome, Future):
+        return outcome
+    exc = outcome.exception()
+    return exc if exc is not None else _LABEL_TO_CLASS[outcome.result()]
+
+
+def _when_done(futures: Sequence[Future], callback: Callable[[], None]) -> None:
+    """Call callback once every future is done: now, or in the thread that completes the last."""
+    for at, future in enumerate(futures):
+        if not future.done():
+            future.add_done_callback(lambda _: _when_done(futures[at + 1 :], callback))
+            return
+    callback()
 
 
 class LlmClient:
-    """Thread-safe completion client with an append-only response cache."""
+    """Thread-safe completion client with an append-only response cache.
+
+    Live requests run on a pool of MAX_IN_FLIGHT threads, and a cache key has
+    at most one request in flight: a caller that misses while it is pending
+    waits for that request instead of sending its own.
+    """
 
     def __init__(
         self,
@@ -238,7 +253,9 @@ class LlmClient:
         self._transport = transport or _http_transport
         self._templates: dict[str, PromptTemplate] = {}
         self._lock = threading.Lock()
-        self._in_flight = threading.Semaphore(MAX_IN_FLIGHT)
+        self._requests = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="mea-llm")
+        self._pending: dict[str, Future[str]] = {}  # requests in flight, by cache key
+        self._joins: Counter[str] = Counter()  # callers waiting on another's request, by cache key
         self.calls = 0
         self.cache_hits = 0
         # Labels by cache key: replay answers from the fixture alone; live mode from its own cache file.
@@ -254,6 +271,7 @@ class LlmClient:
         return self._templates[name]
 
     def stats(self) -> tuple[int, int]:
+        """Calls, and the calls answered by a cached label or by another call's successful request."""
         with self._lock:
             return self.calls, self.cache_hits
 
@@ -268,32 +286,28 @@ class LlmClient:
         label = self._complete(self.template("classify_action"), text)
         return _LABEL_TO_CLASS[label]
 
-    def needs_request(self, text: str) -> bool:
-        """Whether classify_action_event(text) would wait on the endpoint: a live cache miss."""
-        if self.config.mode is not ClientMode.LIVE or not text.strip():
-            return False
-        key = cache_key("classify_action", text, self.config.model)
-        with self._lock:
-            return key not in self._cache
+    def classify_action_events(self, texts: Sequence[str]) -> Future[list[ActionClass | Exception]]:
+        """Classify each text as classify_action_event would, without waiting on the endpoint.
 
-    def classify_action_events(self, texts: Sequence[str]) -> list[ActionClass | Exception]:
-        """Classify each text, counted as one classify_action_event call per text.
-
-        Cached, fixture and heuristic texts are answered in this thread. Each
-        distinct live miss is requested once, at most MAX_IN_FLIGHT at a time,
-        and its repeats count as cache hits. Each text gets its class, or the
+        Cached, fixture and heuristic texts are answered in this thread, and
+        the returned future is then already done. Otherwise it is done when
+        the last request it needs completes. Each text gets its class, or the
         exception classifying it raised.
         """
-        misses = list(dict.fromkeys(filter(self.needs_request, texts)))
-        fetched: dict[str, ActionClass | Exception] = {}
-        if misses:
-            with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
-                fetched = dict(zip(misses, pool.map(lambda text: _outcome(self.classify_action_event, text), misses)))
-            repeats = sum(text in fetched for text in texts) - len(fetched)
-            with self._lock:
-                self.calls += repeats
-                self.cache_hits += repeats
-        return [fetched[text] if text in fetched else _outcome(self.classify_action_event, text) for text in texts]
+        outcomes = [self._start_classify(text) for text in texts]
+        answers: Future[list[ActionClass | Exception]] = Future()
+        requests = [o for o in outcomes if isinstance(o, Future)]
+        _when_done(requests, lambda: answers.set_result([_settled(o) for o in outcomes]))
+        return answers
+
+    def _start_classify(self, text: str) -> ActionClass | Exception | Future[str]:
+        try:
+            if self.config.mode is ClientMode.HEURISTIC or not text.strip():
+                return self.classify_action_event(text)
+            label = self._lookup(self.template("classify_action"), text)
+        except Exception as exc:  # the caller decides, per text, what an error means
+            return exc
+        return label if isinstance(label, Future) else _LABEL_TO_CLASS[label]
 
     def filter_candidates(self, words: Sequence[str], template_name: str) -> list[str]:
         """Keep the words the model accepts; on a parse failure keep the word.
@@ -309,10 +323,11 @@ class LlmClient:
         if self.config.mode is ClientMode.HEURISTIC:
             log.warning("heuristic mode cannot filter candidates; keeping all %d words", len(words))
             return list(words)
+        verdicts = [self._lookup(template, word) for word in words]  # start every request before awaiting one
         kept: list[str] = []
-        for word in words:
+        for word, verdict in zip(words, verdicts):
             try:
-                label = self._complete(template, word)
+                label = verdict.result() if isinstance(verdict, Future) else verdict
             except LlmParseError as exc:
                 log.warning("unparseable filter verdict for %r (%r); keeping it", word, exc.raw_response)
                 kept.append(word)
@@ -322,6 +337,11 @@ class LlmClient:
         return kept
 
     def _complete(self, template: PromptTemplate, input_text: str) -> str:
+        label = self._lookup(template, input_text)
+        return label.result() if isinstance(label, Future) else label
+
+    def _lookup(self, template: PromptTemplate, input_text: str) -> str | Future[str]:
+        """Count a call; return the cached label, else the one request for its key, started if none is pending."""
         key = cache_key(template.name, input_text, self.config.model)
         with self._lock:
             self.calls += 1
@@ -329,20 +349,35 @@ class LlmClient:
             if cached is not None:
                 self.cache_hits += 1
                 return cached
-        if self.config.mode is ClientMode.REPLAY:
-            raise ReplayMissError(
-                f"no fixture entry for template={template.name!r} input={input_text!r} "
-                f"model={self.config.model!r}"
-            )
+            if self.config.mode is not ClientMode.REPLAY:
+                if key in self._pending:
+                    self._joins[key] += 1
+                else:
+                    self._pending[key] = self._requests.submit(self._fetch, key, template, input_text)
+                return self._pending[key]
+        raise ReplayMissError(
+            f"no fixture entry for template={template.name!r} input={input_text!r} "
+            f"model={self.config.model!r}"
+        )
 
-        raw = self._request(template.render(input_text))
-        label = raw.strip().casefold()
-        if label not in template.expected_labels:
-            raise LlmParseError(
-                f"response is not one of {sorted(template.expected_labels)}", raw_response=raw
-            )
+    def _fetch(self, key: str, template: PromptTemplate, input_text: str) -> str:
+        """Request one key's label and cache it; the callers that joined the request count as hits only then."""
+        try:
+            raw = self._request(template.render(input_text))
+            label = raw.strip().casefold()
+            if label not in template.expected_labels:
+                raise LlmParseError(
+                    f"response is not one of {sorted(template.expected_labels)}", raw_response=raw
+                )
+        except Exception:
+            with self._lock:  # not cached, so a later caller requests it again
+                del self._pending[key]
+                self._joins.pop(key, None)
+            raise
         line = (key, template.name, input_text, self.config.model, raw, label, time.time())
         with self._lock:
+            del self._pending[key]
+            self.cache_hits += self._joins.pop(key, 0)
             self._cache[key] = label
             if self.config.cache_path is not None:
                 with open(self.config.cache_path, "a", encoding="utf-8") as fh:
@@ -353,8 +388,7 @@ class LlmClient:
         last: LlmTransportError | None = None
         for attempt in range(self.config.retries + 1):
             try:
-                with self._in_flight:
-                    return self._transport(self.config, prompt)
+                return self._transport(self.config, prompt)
             except LlmTransportError as exc:
                 last = exc
                 if attempt < self.config.retries:

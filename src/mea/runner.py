@@ -9,9 +9,10 @@ import logging
 import random
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from queue import SimpleQueue
 from typing import NamedTuple, Sequence
 
 from . import InputFileError, read_text
@@ -40,7 +41,7 @@ PATTERN_IDS = tuple(p.pattern_id for p in ACTION_PATTERNS) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
 
-CHUNK_REVIEWS = 256  # reviews in flight at once; bounds the prepared state held while classifying
+OPEN_REVIEWS = 256  # reviews started but not yet tallied; bounds the state held while waiting on the endpoint
 
 # A review id names its output files, so it may not hold a path separator or
 # a control character (C0, DEL or C1); failures.log escapes control characters.
@@ -217,10 +218,13 @@ def run_pipeline(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    work = [r for r in reviews if r.review_id in parses]
 
-    def finish(review: _Prepared, answers: dict[str, ActionClass | Exception]) -> _Built | Exception:
+    def finish(review: _Prepared, answers: list[ActionClass | Exception]) -> _Built | Exception:
+        by_text = dict(zip(review.texts, answers))
+
         def classify(text: str) -> ActionClass | None:
-            answer = answers[text]
+            answer = by_text[text]
             if isinstance(answer, LlmParseError):
                 log.warning("unparseable classifier verdict for %r (%r); skipping event", text, answer.raw_response)
                 return None
@@ -240,40 +244,35 @@ def run_pipeline(
         except Exception as exc:  # quarantined per review
             return exc
 
-    def start(record: ReviewRecord) -> _Built | _Prepared | Exception:
-        """Prepare a review, and finish it too unless one of its texts waits on the endpoint."""
+    done: SimpleQueue[tuple[int, _Built | Exception]] = SimpleQueue()  # (position in work, result)
+
+    def settle(position: int, review: _Prepared, answers: Future) -> None:
+        done.put((position, finish(review, answers.result())))
+
+    def start(position: int, record: ReviewRecord) -> None:
+        """Prepare a review and finish it now, or, if a text waits on the endpoint, in a new task once answered."""
         try:
             dag, events = prepare_mea_dag(parses[record.review_id], graph, lexicon)
             review = _Prepared(record, dag, events, [event.text for _, event in events if needs_classifier(event)])
-            if any(map(client.needs_request, review.texts)):
-                return review
             answers = client.classify_action_events(review.texts)
         except Exception as exc:  # quarantined per review
-            return exc
-        return finish(review, dict(zip(review.texts, answers)))
-
-    def built(work: list[ReviewRecord]):
-        """Yield (record, _Built or exception) in work order, one chunk at a time."""
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            for at in range(0, len(work), CHUNK_REVIEWS):
-                chunk = work[at : at + CHUNK_REVIEWS]
-                results = list(pool.map(start, chunk))
-                waiting = [r for r in results if isinstance(r, _Prepared)]
-                if waiting:  # classify their texts together, then finish them
-                    texts = [text for review in waiting for text in review.texts]
-                    answers = dict(zip(texts, client.classify_action_events(texts)))
-                    finished = pool.map(lambda review: finish(review, answers), waiting)
-                    results = [next(finished) if isinstance(r, _Prepared) else r for r in results]
-                yield from zip(chunk, results)
+            done.put((position, exc))
+            return
+        if answers.done():
+            settle(position, review, answers)
+        else:  # no worker waits on the endpoint
+            answers.add_done_callback(lambda _: pool.submit(settle, position, review, answers))
 
     stats = CorpusStats(total_reviews=len(reviews))
     index_entries = []
-    for record, result in built([r for r in reviews if r.review_id in parses]):
+    errors: dict[int, Exception] = {}
+
+    def tally(position: int, result: _Built | Exception) -> None:
         if isinstance(result, Exception):
-            _skip(failures, record.review_id, f"pipeline error: {result}")
-            continue
+            errors[position] = result
+            return
         if not result.pattern_ids:
-            continue
+            return
         stats.reviews_with_events += 1
         for pattern_id in result.pattern_ids:
             stats.pattern_counts[pattern_id] += 1
@@ -285,11 +284,22 @@ def run_pipeline(
             stats.invalid_no_need += 1
         index_entries.append(
             {
-                "review_id": record.review_id,
-                "sentence_count": len(parses[record.review_id]),
+                "review_id": work[position].review_id,
+                "sentence_count": len(parses[work[position].review_id]),
                 "valid": result.valid,
             }
         )
+
+    # Reviews finish in any order, at most OPEN_REVIEWS of them open at once.
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        for position, record in enumerate(work):
+            if position >= OPEN_REVIEWS:
+                tally(*done.get())
+            pool.submit(start, position, record)
+        for _ in range(min(len(work), OPEN_REVIEWS)):
+            tally(*done.get())
+    for position in sorted(errors):  # failures in review order
+        _skip(failures, work[position].review_id, f"pipeline error: {errors[position]}")
 
     stats.failed_reviews = len(failures)
     stats.classifier_calls, stats.classifier_cache_hits = client.stats()

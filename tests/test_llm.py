@@ -332,12 +332,29 @@ def test_heuristic_mode_client_needs_no_endpoint():
 
 # --- classifying a sequence of texts -------------------------------------------
 
+class GatedTransport(RecordingTransport):
+    """A RecordingTransport whose requests wait until the gate is open."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.gate = threading.Event()
+
+    def __call__(self, config, prompt):
+        assert self.gate.wait(timeout=10), "gate never opened"
+        return super().__call__(config, prompt)
+
+
 def test_classify_action_events_requests_each_distinct_miss_once(tmp_path):
-    transport = RecordingTransport({"I wash": "physical", "I tell": "social", "I blorp": "no idea"})
+    transport = GatedTransport({"I wash": "physical", "I tell": "social", "I blorp": "no idea"})
     client = live_client(transport, tmp_path, retries=0)
+    transport.gate.set()
     assert client.classify_action_event("I tell friends") is ActionClass.SOCIAL
+    transport.gate.clear()  # every lookup below happens while its request is pending
     texts = ["I wash it", "I tell friends", "I blorp", "I wash it", "I vanish", "I blorp"]
-    results = client.classify_action_events(texts)
+    answers = client.classify_action_events(texts)
+    assert not answers.done()
+    transport.gate.set()
+    results = answers.result(timeout=10)
     assert results[:2] == [ActionClass.PHYSICAL, ActionClass.SOCIAL]
     assert results[3] is ActionClass.PHYSICAL
     assert isinstance(results[2], LlmParseError) and results[5] is results[2]
@@ -345,24 +362,41 @@ def test_classify_action_events_requests_each_distinct_miss_once(tmp_path):
     assert sorted(transport.calls) == sorted(
         load_template("classify_action").render(t) for t in ["I tell friends", "I wash it", "I blorp", "I vanish"]
     )
-    calls, hits = client.stats()
-    assert calls == 1 + len(texts)
-    assert hits == calls - len(transport.calls)
+    # Hits: the cached "I tell friends" and the repeat of "I wash it"; the failed repeat of "I blorp" is no hit.
+    assert client.stats() == (1 + len(texts), 2)
+
+
+def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_path):
+    transport = GatedTransport({})
+    client = live_client(transport, tmp_path, retries=0)
+    answers = client.classify_action_events(["I vanish", "I vanish"])
+    transport.gate.set()
+    first, repeat = answers.result(timeout=10)
+    assert isinstance(first, LlmTransportError) and repeat is first
+    assert client.stats() == (2, 0)
+    assert len(transport.calls) == 1
+    (again,) = client.classify_action_events(["I vanish"]).result(timeout=10)
+    assert isinstance(again, LlmTransportError)
+    assert client.stats() == (3, 0)
+    assert len(transport.calls) == 2
+    assert not (tmp_path / "cache.jsonl").exists()
 
 
 def test_classify_action_events_answers_replay_and_heuristic_texts_in_place(replay_client):
-    results = replay_client.classify_action_events(["I buy it", "I juggle flaming torches", "I buy it"])
+    answers = replay_client.classify_action_events(["I buy it", "I juggle flaming torches", "I buy it"])
+    assert answers.done()
+    results = answers.result()
     assert results[0] is results[2] is ActionClass.PHYSICAL
     assert isinstance(results[1], ReplayMissError)
     assert replay_client.stats() == (3, 2)
-    assert not replay_client.needs_request("I juggle flaming torches")
     heuristic = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC))
-    assert heuristic.classify_action_events(["I recommend it", "  "])[0] is ActionClass.SOCIAL
-    assert isinstance(heuristic.classify_action_events(["  "])[0], ValueError)
+    assert heuristic.classify_action_events(["I recommend it", "  "]).result()[0] is ActionClass.SOCIAL
+    assert isinstance(heuristic.classify_action_events(["  "]).result()[0], ValueError)
     assert heuristic.stats() == (1, 0)
 
 
-def test_classify_action_events_keeps_at_most_max_in_flight_requests(tmp_path):
+def peak_counting_transport(label):
+    """A 10-ms transport answering label, and the list holding its peak number of requests in flight."""
     lock, in_flight, peak = threading.Lock(), [0], [0]
 
     def transport(config, prompt):
@@ -372,22 +406,46 @@ def test_classify_action_events_keeps_at_most_max_in_flight_requests(tmp_path):
         time.sleep(0.01)
         with lock:
             in_flight[0] -= 1
-        return "physical"
+        return label
 
+    return transport, peak
+
+
+def test_classify_action_events_keeps_at_most_max_in_flight_requests(tmp_path):
+    transport, peak = peak_counting_transport("physical")
     client = live_client(transport, tmp_path)
     texts = [f"I eat dish {i}" for i in range(3 * MAX_IN_FLIGHT)]
-    assert client.classify_action_events(texts) == [ActionClass.PHYSICAL] * len(texts)
+    assert client.classify_action_events(texts).result(timeout=30) == [ActionClass.PHYSICAL] * len(texts)
     assert peak[0] == MAX_IN_FLIGHT
 
 
-def test_concurrent_classify_action_events_lose_no_count(tmp_path):
+def test_filter_candidates_keeps_max_in_flight_requests(tmp_path):
+    transport, peak = peak_counting_transport("yes")
+    client = live_client(transport, tmp_path)
+    words = [f"word{i}" for i in range(3 * MAX_IN_FLIGHT)]
+    assert client.filter_candidates(words, "filter_emotion") == words
+    assert peak[0] == MAX_IN_FLIGHT
+
+
+def test_concurrent_callers_request_each_text_once(tmp_path):
     transport = RecordingTransport({"I eat": "physical"})
     client = live_client(transport, tmp_path)
     batches = [[f"I eat dish {(i * 7 + j) % 20}" for j in range(50)] for i in range(8)]
+
+    def classify_batch(texts):
+        client.classify_action_events(texts).result(timeout=60)
+
+    def classify_one_by_one(texts):
+        for text in texts:
+            client.classify_action_event(text)
+
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=client.classify_action_events, args=(texts,)) for texts in batches]
+        threads = [
+            threading.Thread(target=classify_batch if i % 2 else classify_one_by_one, args=(texts,))
+            for i, texts in enumerate(batches)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -395,7 +453,6 @@ def test_concurrent_classify_action_events_lose_no_count(tmp_path):
     finally:
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
-    calls, hits = client.stats()
-    assert calls == sum(map(len, batches))
-    assert hits == calls - len(transport.calls)
-    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == len(transport.calls)
+    assert len(transport.calls) == len(set(transport.calls)) == 20
+    assert client.stats() == (sum(map(len, batches)), sum(map(len, batches)) - 20)
+    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 20

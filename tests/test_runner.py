@@ -484,8 +484,8 @@ def test_live_run_requests_each_distinct_miss_once_with_requests_in_flight_toget
     assert stats.classifier_cache_hits == stats.classifier_calls - len(transport.prompts)
 
 
-def test_chunked_live_run_requests_each_text_once_across_chunks(fixture_corpus, full_run, tmp_path, monkeypatch):
-    monkeypatch.setattr(mea.runner, "CHUNK_REVIEWS", 3)  # "I buy it" (reviews 4 and 20) lands in two chunks
+def test_live_run_with_few_open_reviews_requests_each_text_once(fixture_corpus, full_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 3)  # "I buy it" (reviews 4 and 20) is never open twice at once
     distinct = {text for texts in classifier_texts(fixture_corpus[1]).values() for text in texts}
     transport = FixtureTransport()
     stats, failures, graphs = run_with_client(
@@ -495,6 +495,38 @@ def test_chunked_live_run_requests_each_text_once_across_chunks(fixture_corpus, 
     assert sorted(transport.prompts) == sorted(load_template("classify_action").render(text) for text in distinct)
     assert graphs == full_run[0]
     assert (stats.classifier_calls, stats.classifier_cache_hits) == (14, 14 - len(distinct))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reviews_finish_while_another_waits_on_the_endpoint(fixture_corpus, full_run, tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 3)
+    full_graphs, _ = full_run
+    others = len(full_graphs) - len(reviews_holding(fixture_corpus, FAILING_TEXT))
+    written, others_written = [], threading.Event()
+
+    def dumps_dag(dag):
+        written.append(dag)
+        if len(written) == others:
+            others_written.set()
+        return real_dumps_dag(dag)
+
+    real_dumps_dag = mea.runner.dumps_dag
+    monkeypatch.setattr(mea.runner, "dumps_dag", dumps_dag)
+    fixture = FixtureTransport()
+    slow_prompt = load_template("classify_action").render(FAILING_TEXT)
+    waited = []
+
+    def transport(config, prompt):
+        if prompt == slow_prompt:  # answered only once every review without its text is written
+            waited.append(others_written.wait(timeout=10))
+        return fixture(config, prompt)
+
+    stats, failures, graphs = run_with_client(
+        fixture_corpus, live_client(transport, tmp_path / "cache.jsonl"), tmp_path / "out", workers
+    )
+    assert waited == [True]
+    assert failures == []
+    assert graphs == full_graphs
 
 
 # --- classifier failures quarantine or skip only what they name ---------------
