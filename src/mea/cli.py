@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Any, Callable
 
@@ -85,18 +86,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     lexicon = belief.load_lexicon(args.lexicon)
     graph = load_graph_file(args.graph) if args.graph else default_graph()
     validate_graph(graph)
-    client = _make_client(args)
-    stats = run_pipeline(
-        reviews,
-        parses,
-        graph,
-        lexicon,
-        client,
-        args.out,
-        write_dot=args.dot,
-        workers=args.workers,
-        failures=failures,
-    )
+    with closing(_make_client(args)) as client:
+        stats = run_pipeline(
+            reviews,
+            parses,
+            graph,
+            lexicon,
+            client,
+            args.out,
+            write_dot=args.dot,
+            workers=args.workers,
+            failures=failures,
+        )
     print(
         f"{stats.total_reviews} reviews, {stats.reviews_with_events} with events, "
         f"{stats.valid_dags} valid graphs, {stats.failed_reviews} failed"
@@ -111,16 +112,16 @@ def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
     emo_pos, emo_neg = belief.compile_emotion_lexicon(belief.parse_emotion_file(args.emotions))
 
     if args.llm_filter:
-        client = _make_client(args)
-        neg_words = sorted({t.word for t in feeling_neg})
-        if neg_words:
-            kept = set(client.filter_candidates(neg_words, "filter_feeling_neg"))
-            feeling_neg = {t for t in feeling_neg if t.word in kept}
-        emo_words = sorted({t.word for t in emo_pos | emo_neg})
-        if emo_words:
-            kept = set(client.filter_candidates(emo_words, "filter_emotion"))
-            emo_pos = {t for t in emo_pos if t.word in kept}
-            emo_neg = {t for t in emo_neg if t.word in kept}
+        with closing(_make_client(args)) as client:
+            neg_words = sorted({t.word for t in feeling_neg})
+            if neg_words:
+                kept = set(client.filter_candidates(neg_words, "filter_feeling_neg"))
+                feeling_neg = {t for t in feeling_neg if t.word in kept}
+            emo_words = sorted({t.word for t in emo_pos | emo_neg})
+            if emo_words:
+                kept = set(client.filter_candidates(emo_words, "filter_emotion"))
+                emo_pos = {t for t in emo_pos if t.word in kept}
+                emo_neg = {t for t in emo_neg if t.word in kept}
 
     lexicon = BeliefLexicon(food | feeling_pos | feeling_neg | emo_pos | emo_neg)
     belief.dump_lexicon(lexicon, args.out)

@@ -270,6 +270,10 @@ class LlmClient:
             self._templates[name] = load_template(name)
         return self._templates[name]
 
+    def close(self) -> None:
+        """Stop the request threads once the requests already started are done."""
+        self._requests.shutdown()
+
     def stats(self) -> tuple[int, int]:
         """Calls, and the calls answered by a cached label or by another call's successful request."""
         with self._lock:
@@ -286,17 +290,20 @@ class LlmClient:
         label = self._complete(self.template("classify_action"), text)
         return _LABEL_TO_CLASS[label]
 
-    def classify_action_events(self, texts: Sequence[str]) -> Future[list[ActionClass | Exception]]:
+    def classify_action_events(
+        self, texts: Sequence[str]
+    ) -> list[ActionClass | Exception] | Future[list[ActionClass | Exception]]:
         """Classify each text as classify_action_event would, without waiting on the endpoint.
 
-        Cached, fixture and heuristic texts are answered in this thread, and
-        the returned future is then already done. Otherwise it is done when
-        the last request it needs completes. Each text gets its class, or the
-        exception classifying it raised.
+        Each text gets its class, or the exception classifying it raised: as
+        a list when every text is answered now (cached, fixture and heuristic
+        texts are), else as a future, done when the last request it needs is.
         """
         outcomes = [self._start_classify(text) for text in texts]
-        answers: Future[list[ActionClass | Exception]] = Future()
         requests = [o for o in outcomes if isinstance(o, Future)]
+        if not requests:
+            return outcomes
+        answers: Future[list[ActionClass | Exception]] = Future()
         _when_done(requests, lambda: answers.set_result([_settled(o) for o in outcomes]))
         return answers
 
@@ -323,11 +330,10 @@ class LlmClient:
         if self.config.mode is ClientMode.HEURISTIC:
             log.warning("heuristic mode cannot filter candidates; keeping all %d words", len(words))
             return list(words)
-        verdicts = [self._lookup(template, word) for word in words]  # start every request before awaiting one
         kept: list[str] = []
-        for word, verdict in zip(words, verdicts):
+        for word in words:
             try:
-                label = verdict.result() if isinstance(verdict, Future) else verdict
+                label = self._complete(template, word)
             except LlmParseError as exc:
                 log.warning("unparseable filter verdict for %r (%r); keeping it", word, exc.raw_response)
                 kept.append(word)

@@ -8,6 +8,7 @@ import json
 import logging
 import random
 import re
+import threading
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -41,7 +42,7 @@ PATTERN_IDS = tuple(p.pattern_id for p in ACTION_PATTERNS) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
 
-OPEN_REVIEWS = 256  # reviews started but not yet tallied; bounds the state held while waiting on the endpoint
+OPEN_REVIEWS = 256  # reviews waiting on the endpoint at once; bounds the state they hold
 
 # A review id names its output files, so it may not hold a path separator or
 # a control character (C0, DEL or C1); failures.log escapes control characters.
@@ -244,24 +245,24 @@ def run_pipeline(
         except Exception as exc:  # quarantined per review
             return exc
 
-    done: SimpleQueue[tuple[int, _Built | Exception]] = SimpleQueue()  # (position in work, result)
-
-    def settle(position: int, review: _Prepared, answers: Future) -> None:
-        done.put((position, finish(review, answers.result())))
+    # (position in work, then a result, or a review that waited and its answers)
+    done: SimpleQueue[tuple[int, _Built | Exception | _Prepared, list | None]] = SimpleQueue()
+    waiting = threading.Semaphore(OPEN_REVIEWS)  # the tallying thread may release it before a worker acquires it
 
     def start(position: int, record: ReviewRecord) -> None:
-        """Prepare a review and finish it now, or, if a text waits on the endpoint, in a new task once answered."""
+        """Prepare a review and finish it, unless a text waits on the endpoint: the tallying thread finishes that one."""
         try:
             dag, events = prepare_mea_dag(parses[record.review_id], graph, lexicon)
             review = _Prepared(record, dag, events, [event.text for _, event in events if needs_classifier(event)])
             answers = client.classify_action_events(review.texts)
         except Exception as exc:  # quarantined per review
-            done.put((position, exc))
+            done.put((position, exc, None))
             return
-        if answers.done():
-            settle(position, review, answers)
-        else:  # no worker waits on the endpoint
-            answers.add_done_callback(lambda _: pool.submit(settle, position, review, answers))
+        if isinstance(answers, Future):
+            waiting.acquire()  # blocks only while OPEN_REVIEWS reviews wait on the endpoint
+            answers.add_done_callback(lambda _: done.put((position, review, answers.result())))
+        else:
+            done.put((position, finish(review, answers), None))
 
     stats = CorpusStats(total_reviews=len(reviews))
     index_entries = []
@@ -290,14 +291,21 @@ def run_pipeline(
             }
         )
 
-    # Reviews finish in any order, at most OPEN_REVIEWS of them open at once.
+    # Reviews finish in any order; no worker waits on the endpoint for its own review.
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         for position, record in enumerate(work):
-            if position >= OPEN_REVIEWS:
-                tally(*done.get())
             pool.submit(start, position, record)
-        for _ in range(min(len(work), OPEN_REVIEWS)):
-            tally(*done.get())
+        try:
+            for _ in work:
+                position, result, answers = done.get()
+                if answers is not None:
+                    result = finish(result, answers)
+                    waiting.release()
+                tally(position, result)
+        except BaseException:  # an interrupt: start no more reviews, and leave none blocked on the window
+            pool.shutdown(wait=False, cancel_futures=True)
+            waiting.release(len(work))
+            raise
     for position in sorted(errors):  # failures in review order
         _skip(failures, work[position].review_id, f"pipeline error: {errors[position]}")
 

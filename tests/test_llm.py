@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -352,7 +353,7 @@ def test_classify_action_events_requests_each_distinct_miss_once(tmp_path):
     transport.gate.clear()  # every lookup below happens while its request is pending
     texts = ["I wash it", "I tell friends", "I blorp", "I wash it", "I vanish", "I blorp"]
     answers = client.classify_action_events(texts)
-    assert not answers.done()
+    assert isinstance(answers, Future) and not answers.done()
     transport.gate.set()
     results = answers.result(timeout=10)
     assert results[:2] == [ActionClass.PHYSICAL, ActionClass.SOCIAL]
@@ -383,15 +384,14 @@ def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_p
 
 
 def test_classify_action_events_answers_replay_and_heuristic_texts_in_place(replay_client):
-    answers = replay_client.classify_action_events(["I buy it", "I juggle flaming torches", "I buy it"])
-    assert answers.done()
-    results = answers.result()
+    results = replay_client.classify_action_events(["I buy it", "I juggle flaming torches", "I buy it"])
+    assert isinstance(results, list)
     assert results[0] is results[2] is ActionClass.PHYSICAL
     assert isinstance(results[1], ReplayMissError)
     assert replay_client.stats() == (3, 2)
     heuristic = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC))
-    assert heuristic.classify_action_events(["I recommend it", "  "]).result()[0] is ActionClass.SOCIAL
-    assert isinstance(heuristic.classify_action_events(["  "]).result()[0], ValueError)
+    assert heuristic.classify_action_events(["I recommend it", "  "])[0] is ActionClass.SOCIAL
+    assert isinstance(heuristic.classify_action_events(["  "])[0], ValueError)
     assert heuristic.stats() == (1, 0)
 
 
@@ -419,21 +419,15 @@ def test_classify_action_events_keeps_at_most_max_in_flight_requests(tmp_path):
     assert peak[0] == MAX_IN_FLIGHT
 
 
-def test_filter_candidates_keeps_max_in_flight_requests(tmp_path):
-    transport, peak = peak_counting_transport("yes")
-    client = live_client(transport, tmp_path)
-    words = [f"word{i}" for i in range(3 * MAX_IN_FLIGHT)]
-    assert client.filter_candidates(words, "filter_emotion") == words
-    assert peak[0] == MAX_IN_FLIGHT
-
-
 def test_concurrent_callers_request_each_text_once(tmp_path):
     transport = RecordingTransport({"I eat": "physical"})
     client = live_client(transport, tmp_path)
     batches = [[f"I eat dish {(i * 7 + j) % 20}" for j in range(50)] for i in range(8)]
 
     def classify_batch(texts):
-        client.classify_action_events(texts).result(timeout=60)
+        answers = client.classify_action_events(texts)
+        if isinstance(answers, Future):
+            answers.result(timeout=60)
 
     def classify_one_by_one(texts):
         for text in texts:
@@ -456,3 +450,14 @@ def test_concurrent_callers_request_each_text_once(tmp_path):
     assert len(transport.calls) == len(set(transport.calls)) == 20
     assert client.stats() == (sum(map(len, batches)), sum(map(len, batches)) - 20)
     assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 20
+
+
+def test_close_ends_the_request_threads(tmp_path):
+    before = set(threading.enumerate())
+    client = live_client(RecordingTransport({"I eat": "physical"}), tmp_path)
+    assert client.classify_action_event("I eat soup") is ActionClass.PHYSICAL
+    started = set(threading.enumerate()) - before
+    assert started
+    client.close()
+    assert not any(thread.is_alive() for thread in started)
+    assert client.classify_action_event("I eat soup") is ActionClass.PHYSICAL  # cached labels still answer

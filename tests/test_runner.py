@@ -581,3 +581,30 @@ def test_replay_miss_quarantines_only_the_reviews_holding_its_text(fixture_corpu
     assert all(reason.startswith("pipeline error: no fixture entry for template='classify_action'") for _, reason in failures)
     full_graphs, _ = full_run
     assert graphs == {rid: g for rid, g in full_graphs.items() if rid not in holding}
+
+
+def test_interrupted_live_run_stops_without_finishing_the_corpus(fixture_corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 1)  # a worker soon blocks until a waiting review is tallied
+    tallying = []
+
+    def dumps_dag(dag):
+        if threading.get_ident() in tallying:  # the first review that waited on the endpoint
+            raise KeyboardInterrupt
+        return real_dumps_dag(dag)
+
+    real_dumps_dag = mea.runner.dumps_dag
+    monkeypatch.setattr(mea.runner, "dumps_dag", dumps_dag)
+    raised = []
+
+    def run():
+        tallying.append(threading.get_ident())
+        try:
+            run_with_client(fixture_corpus, live_client(FixtureTransport(), tmp_path / "cache.jsonl"), tmp_path / "out", 2)
+        except KeyboardInterrupt:
+            raised.append(True)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=20)
+    assert not runner.is_alive()
+    assert raised == [True]
