@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache", help="classifier cache file for live mode")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--dot", action="store_true", help="also write Graphviz files")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, default=1, help="has no effect: graphs are built in the calling thread")
 
     comp = sub.add_parser("compile-lexicon", help="compile the belief lexicon from dumps")
     comp.add_argument("--wordnet", required=True, help="noun hyponym taxonomy dump")

@@ -330,10 +330,12 @@ class LlmClient:
         if self.config.mode is ClientMode.HEURISTIC:
             log.warning("heuristic mode cannot filter candidates; keeping all %d words", len(words))
             return list(words)
+        labels = [self._lookup(template, word) for word in words]  # every miss is requested before any is awaited
         kept: list[str] = []
-        for word in words:
+        for word, label in zip(words, labels):
             try:
-                label = self._complete(template, word)
+                if isinstance(label, Future):
+                    label = label.result()
             except LlmParseError as exc:
                 log.warning("unparseable filter verdict for %r (%r); keeping it", word, exc.raw_response)
                 kept.append(word)

@@ -8,13 +8,11 @@ import json
 import logging
 import random
 import re
-import threading
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, as_completed, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from queue import SimpleQueue
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import InputFileError, read_text
 from .belief import BeliefLexicon
@@ -68,14 +66,6 @@ class CorpusStats:
     pattern_counts: dict[str, int] = field(default_factory=lambda: {p: 0 for p in PATTERN_IDS})
     classifier_calls: int = 0
     classifier_cache_hits: int = 0
-
-
-# What the corpus stats need of a written graph. Keeping this, not the graph,
-# lets each graph die young instead of in a full garbage collection.
-class _Built(NamedTuple):
-    pattern_ids: tuple[str, ...]
-    valid: bool
-    both_needs: bool
 
 
 class _Prepared(NamedTuple):  # a review built up to its classifier calls
@@ -208,7 +198,8 @@ def run_pipeline(
 ) -> CorpusStats:
     """Build one graph per review with sentences, write outputs and stats.
 
-    Per-review failures are logged and counted, never abort the batch.
+    Graphs are built in the calling thread; workers is accepted and has no
+    effect. Per-review failures are logged and counted, never abort the batch.
     Classifier verdicts that fail to parse skip just the affected event.
     """
     if failures is None:
@@ -221,7 +212,11 @@ def run_pipeline(
     out_dir.mkdir(parents=True, exist_ok=True)
     work = [r for r in reviews if r.review_id in parses]
 
-    def finish(review: _Prepared, answers: list[ActionClass | Exception]) -> _Built | Exception:
+    stats = CorpusStats(total_reviews=len(reviews))
+    index_entries = []
+    errors: dict[int, Exception] = {}
+
+    def finish(position: int, review: _Prepared, answers: list[ActionClass | Exception]) -> None:
         by_text = dict(zip(review.texts, answers))
 
         def classify(text: str) -> ActionClass | None:
@@ -233,79 +228,52 @@ def run_pipeline(
                 raise answer
             return answer
 
+        review_id = review.record.review_id
         try:
             dag = finish_mea_dag(review.dag, review.events, graph, classify)
             if dag.events:
-                (out_dir / f"{review.record.review_id}.json").write_text(dumps_dag(dag), encoding="utf-8")
+                (out_dir / f"{review_id}.json").write_text(dumps_dag(dag), encoding="utf-8")
                 if write_dot:
-                    (out_dir / f"{review.record.review_id}.dot").write_text(to_dot(dag), encoding="utf-8")
-            # an invalid graph with need_food_neg has both needs
-            both_needs = not dag.valid and NatureNodeId.NEED_FOOD_NEG in dag.activated
-            return _Built(tuple(e.pattern_id for e in dag.events), dag.valid, both_needs)
+                    (out_dir / f"{review_id}.dot").write_text(to_dot(dag), encoding="utf-8")
         except Exception as exc:  # quarantined per review
-            return exc
+            errors[position] = exc
+            return
+        if not dag.events:
+            return
+        stats.reviews_with_events += 1
+        for event in dag.events:
+            stats.pattern_counts[event.pattern_id] += 1
+        if dag.valid:
+            stats.valid_dags += 1
+        elif NatureNodeId.NEED_FOOD_NEG in dag.activated:  # an invalid graph with need_food_neg has both needs
+            stats.invalid_both_needs += 1
+        else:
+            stats.invalid_no_need += 1
+        index_entries.append({"review_id": review_id, "sentence_count": len(parses[review_id]), "valid": dag.valid})
 
-    # (position in work, then a result, or a review that waited and its answers)
-    done: SimpleQueue[tuple[int, _Built | Exception | _Prepared, list | None]] = SimpleQueue()
-    waiting = threading.Semaphore(OPEN_REVIEWS)  # the tallying thread may release it before a worker acquires it
+    # Reviews whose texts wait on the endpoint, by their answers' future; each
+    # is finished once answered, in any order, so a slow request holds back no other.
+    waiting: dict[Future, tuple[int, _Prepared]] = {}
 
-    def start(position: int, record: ReviewRecord) -> None:
-        """Prepare a review and finish it, unless a text waits on the endpoint: the tallying thread finishes that one."""
+    def finish_answered(answered: Iterable[Future]) -> None:
+        for answers in answered:
+            finish(*waiting.pop(answers), answers.result())
+
+    for position, record in enumerate(work):
         try:
             dag, events = prepare_mea_dag(parses[record.review_id], graph, lexicon)
             review = _Prepared(record, dag, events, [event.text for _, event in events if needs_classifier(event)])
             answers = client.classify_action_events(review.texts)
         except Exception as exc:  # quarantined per review
-            done.put((position, exc, None))
-            return
-        if isinstance(answers, Future):
-            waiting.acquire()  # blocks only while OPEN_REVIEWS reviews wait on the endpoint
-            answers.add_done_callback(lambda _: done.put((position, review, answers.result())))
-        else:
-            done.put((position, finish(review, answers), None))
-
-    stats = CorpusStats(total_reviews=len(reviews))
-    index_entries = []
-    errors: dict[int, Exception] = {}
-
-    def tally(position: int, result: _Built | Exception) -> None:
-        if isinstance(result, Exception):
-            errors[position] = result
-            return
-        if not result.pattern_ids:
-            return
-        stats.reviews_with_events += 1
-        for pattern_id in result.pattern_ids:
-            stats.pattern_counts[pattern_id] += 1
-        if result.valid:
-            stats.valid_dags += 1
-        elif result.both_needs:
-            stats.invalid_both_needs += 1
-        else:
-            stats.invalid_no_need += 1
-        index_entries.append(
-            {
-                "review_id": work[position].review_id,
-                "sentence_count": len(parses[work[position].review_id]),
-                "valid": result.valid,
-            }
-        )
-
-    # Reviews finish in any order; no worker waits on the endpoint for its own review.
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for position, record in enumerate(work):
-            pool.submit(start, position, record)
-        try:
-            for _ in work:
-                position, result, answers = done.get()
-                if answers is not None:
-                    result = finish(result, answers)
-                    waiting.release()
-                tally(position, result)
-        except BaseException:  # an interrupt: start no more reviews, and leave none blocked on the window
-            pool.shutdown(wait=False, cancel_futures=True)
-            waiting.release(len(work))
-            raise
+            errors[position] = exc
+            continue
+        if not isinstance(answers, Future):
+            finish(position, review, answers)
+            continue
+        waiting[answers] = (position, review)
+        if len(waiting) >= OPEN_REVIEWS:
+            finish_answered(wait(waiting, return_when=FIRST_COMPLETED).done)
+    finish_answered(as_completed(waiting))
     for position in sorted(errors):  # failures in review order
         _skip(failures, work[position].review_id, f"pipeline error: {errors[position]}")
 

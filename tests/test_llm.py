@@ -313,6 +313,39 @@ def test_filter_preserves_order_and_is_cached(tmp_path):
     assert len(transport.calls) == 3
 
 
+def test_filter_candidates_requests_its_misses_together(tmp_path):
+    words = [f"mood{i:02}" for i in range(3 * MAX_IN_FLIGHT)]
+    transport = RecordingTransport({f"Word: {w}": "yes" if i % 2 else "no" for i, w in enumerate(words)})
+    barrier, lock, started = threading.Barrier(MAX_IN_FLIGHT, timeout=5), threading.Lock(), [0]
+
+    def together(config, prompt):
+        with lock:
+            started[0] += 1
+            first = started[0] <= MAX_IN_FLIGHT
+        if first:  # the first MAX_IN_FLIGHT requests only succeed when they are in flight at once
+            barrier.wait()
+        return transport(config, prompt)
+
+    client = live_client(together, tmp_path)
+    kept = client.filter_candidates(words + [words[1]], "filter_emotion")
+    assert kept == words[1::2] + [words[1]]
+    assert not barrier.broken
+    assert len(transport.calls) == len(set(transport.calls)) == len(words)
+    assert client.stats() == (len(words) + 1, 1)
+
+
+def test_filter_candidates_raises_the_first_failing_words_error(tmp_path):
+    def transport(config, prompt):
+        for word in ("gloomy", "merry"):
+            if f"Word: {word}" in prompt:
+                raise LlmTransportError(f"refused {word}")
+        return "yes"
+
+    client = live_client(transport, tmp_path, retries=0)
+    with pytest.raises(LlmTransportError, match="refused gloomy"):
+        client.filter_candidates(["glad", "gloomy", "merry", "sad"], "filter_emotion")
+
+
 # --- heuristic classifier ----------------------------------------------------
 
 def test_heuristic_exemplar_verbs():

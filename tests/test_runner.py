@@ -529,6 +529,58 @@ def test_reviews_finish_while_another_waits_on_the_endpoint(fixture_corpus, full
     assert graphs == full_graphs
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_every_graph_is_written_in_the_calling_thread(data_dir, tmp_path, monkeypatch, workers):
+    threads = []
+
+    def dumps_dag(dag):
+        threads.append(threading.get_ident())
+        return real_dumps_dag(dag)
+
+    real_dumps_dag = mea.runner.dumps_dag
+    monkeypatch.setattr(mea.runner, "dumps_dag", dumps_dag)
+    run_fixture_corpus(data_dir, tmp_path / "out", workers)
+    assert threads == [threading.get_ident()] * 20
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_prepared_reviews_never_outnumber_open_reviews(fixture_corpus, full_run, tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 2)
+    lock, prepared, peak, gate = threading.Lock(), [0], [0], threading.Event()
+
+    def prepare_mea_dag(*args, **kwargs):
+        result = real_prepare(*args, **kwargs)
+        with lock:
+            prepared[0] += 1
+            peak[0] = max(peak[0], prepared[0])
+            if prepared[0] > mea.runner.OPEN_REVIEWS:  # over the bound already: answer the requests
+                gate.set()
+        return result
+
+    def finish_mea_dag(*args, **kwargs):
+        with lock:
+            prepared[0] -= 1
+        return real_finish(*args, **kwargs)
+
+    real_prepare, real_finish = mea.runner.prepare_mea_dag, mea.runner.finish_mea_dag
+    monkeypatch.setattr(mea.runner, "prepare_mea_dag", prepare_mea_dag)
+    monkeypatch.setattr(mea.runner, "finish_mea_dag", finish_mea_dag)
+    fixture = FixtureTransport()
+
+    def transport(config, prompt):
+        if not gate.wait(timeout=1):  # held so that prepared reviews pile up while none is answered
+            gate.set()
+        return fixture(config, prompt)
+
+    stats, failures, graphs = run_with_client(
+        fixture_corpus, live_client(transport, tmp_path / "cache.jsonl"), tmp_path / "out", workers
+    )
+    assert failures == []
+    assert graphs == full_run[0]
+    assert prepared == [0]
+    assert peak == [2]
+
+
 # --- classifier failures quarantine or skip only what they name ---------------
 
 FAILING_TEXT = "I buy it"  # held by reviews 4 and 20
@@ -584,7 +636,7 @@ def test_replay_miss_quarantines_only_the_reviews_holding_its_text(fixture_corpu
 
 
 def test_interrupted_live_run_stops_without_finishing_the_corpus(fixture_corpus, tmp_path, monkeypatch):
-    monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 1)  # a worker soon blocks until a waiting review is tallied
+    monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 1)  # the run soon waits until a waiting review is answered
     tallying = []
 
     def dumps_dag(dag):
