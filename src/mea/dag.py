@@ -86,24 +86,17 @@ class MeaDag:
 
 def forward_transmit(seed: set[NatureNodeId], graph: NatureGraph) -> set[NatureNodeId]:
     """Close a seed set under transmitting edges."""
-    unknown = seed - set(graph.nodes)
-    if unknown:
-        names = ", ".join(sorted(n.value for n in unknown))
-        raise ValueError(f"seed nodes not in graph: {names}")
     return reachable(seed, lambda node: transmitting_tails(graph, node))
 
 
 def link_perceptions(
     events: Sequence[tuple[str, Event]],
     lexicon: BeliefLexicon,
-    graph: NatureGraph,
     dag: MeaDag,
 ) -> MeaDag:
     """Add one justified link per perception hit and activate the target node."""
     for event_id, event in events:
         for link in detect_perception(event, lexicon):
-            if link.node not in graph.nodes:
-                raise ValueError(f"perception node {link.node.value} not in graph")
             dag.links.append(DagLink(event_id, link.node, Justification.from_perception(link)))
             dag.activated.add(link.node)
     return dag
@@ -176,7 +169,7 @@ def prepare_mea_dag(
         for event_id, event in indexed
     ]
     if indexed:
-        link_perceptions(indexed, lexicon, graph, dag)
+        link_perceptions(indexed, lexicon, dag)
         dag.activated = forward_transmit(dag.activated, graph)
     return dag, indexed
 
@@ -218,17 +211,6 @@ def _justification_to_json(j: Justification) -> dict:
     raise ValueError(f"unknown justification kind {j.kind!r}")
 
 
-def _justification_from_json(doc: dict) -> Justification:
-    kind = doc.get("type")
-    if kind == "belief":
-        return Justification(kind="belief", word=doc["word"], combo=doc["combo"], flipped=doc["flipped"])
-    if kind == "past_tense":
-        return Justification.past_tense()
-    if kind == "action_class":
-        return Justification.classified(ActionClass(doc["class"]))
-    raise ValueError(f"unknown justification type {kind!r}")
-
-
 def to_json(dag: MeaDag) -> dict:
     return {
         "review_id": dag.review_id,
@@ -252,26 +234,6 @@ def to_json(dag: MeaDag) -> dict:
         "unlinked_events": list(dag.unlinked_events),
         "valid": dag.valid,
     }
-
-
-def from_json(doc: dict) -> MeaDag:
-    return MeaDag(
-        review_id=doc["review_id"],
-        events=[
-            EventNode(e["id"], e["text"], e["pattern_id"], e["negated"]) for e in doc["events"]
-        ],
-        activated={NatureNodeId(n) for n in doc["activated"]},
-        links=[
-            DagLink(l["event_id"], NatureNodeId(l["node"]), _justification_from_json(l["justification"]))
-            for l in doc["links"]
-        ],
-        nature_edges=[
-            NatureEdge(NatureNodeId(e["head"]), NatureNodeId(e["tail"]), e["transmits"])
-            for e in doc["nature_edges"]
-        ],
-        unlinked_events=list(doc["unlinked_events"]),
-        valid=doc["valid"],
-    )
 
 
 def dumps_dag(dag: MeaDag) -> str:

@@ -90,13 +90,10 @@ class PromptTemplate:
         return self.template_text.replace("{input}", value)
 
 
-def load_template(name: str, directory: str | Path | None = None) -> PromptTemplate:
-    """Load a template body from a text file; defaults to the bundled set."""
+def load_template(name: str) -> PromptTemplate:
+    """Load a bundled template."""
     labels, keep = _TEMPLATE_LABELS[name]
-    if directory is not None:
-        text = (Path(directory) / f"{name}.txt").read_text(encoding="utf-8")
-    else:
-        text = resources.files("mea").joinpath(f"templates/{name}.txt").read_text(encoding="utf-8")
+    text = resources.files("mea").joinpath(f"templates/{name}.txt").read_text(encoding="utf-8")
     return PromptTemplate(name, text.strip(), labels, keep)
 
 
@@ -105,7 +102,6 @@ class ClientConfig:
     endpoint: str = ""
     api_key: str = ""
     model: str = DEFAULT_MODEL
-    temperature: float = 0.0
     timeout: float = 30.0
     retries: int = 2
     mode: ClientMode = ClientMode.LIVE
@@ -115,8 +111,6 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.mode is ClientMode.REPLAY and self.fixture_path is None:
             raise ValueError("replay mode requires a fixture file")
-        if self.mode is ClientMode.LIVE and self.temperature != 0.0:
-            raise ValueError("live mode is pinned to temperature 0")
 
     @classmethod
     def from_env(cls, **overrides) -> "ClientConfig":
@@ -178,17 +172,17 @@ def _http_transport(config: ClientConfig, prompt: str) -> str:
     body = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": config.temperature,
+        "temperature": 0,
     }
     try:
         response = requests.post(config.endpoint, json=body, headers=headers, timeout=config.timeout)
         response.raise_for_status()
-        doc = response.json()
-        return doc["choices"][0]["message"]["content"]
+    except requests.RequestException as exc:  # a bad URL is one too, though it is also a ValueError
+        raise LlmTransportError(str(exc)) from exc
+    try:
+        return response.json()["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise LlmTransportError(f"malformed completion response: {exc}") from exc
-    except requests.RequestException as exc:
-        raise LlmTransportError(str(exc)) from exc
 
 
 Transport = Callable[[ClientConfig, str], str]
@@ -223,6 +217,8 @@ def heuristic_classifier(text: str) -> ActionClass:
 def _settled(outcome: ActionClass | Exception | Future[str]) -> ActionClass | Exception:
     if not isinstance(outcome, Future):
         return outcome
+    if outcome.cancelled():
+        return LlmTransportError("request cancelled: the client was closed")
     exc = outcome.exception()
     return exc if exc is not None else _LABEL_TO_CLASS[outcome.result()]
 
@@ -271,8 +267,11 @@ class LlmClient:
         return self._templates[name]
 
     def close(self) -> None:
-        """Stop the request threads once the requests already started are done."""
-        self._requests.shutdown()
+        """Cancel the requests not yet started and stop the request threads once the rest are done."""
+        self._requests.shutdown(cancel_futures=True)
+        with self._lock:  # a started request leaves _pending itself, so the rest were cancelled
+            self._pending.clear()
+            self._joins.clear()
 
     def stats(self) -> tuple[int, int]:
         """Calls, and the calls answered by a cached label or by another call's successful request."""

@@ -45,18 +45,6 @@ class CycleError(GraphError):
         super().__init__(f"graph contains a cycle: {names}")
 
 
-class NodeSetError(GraphError):
-    def __init__(self, missing: set[NatureNodeId], extra: set[NatureNodeId]):
-        self.missing = missing
-        self.extra = extra
-        parts = []
-        if missing:
-            parts.append("missing " + ", ".join(sorted(n.value for n in missing)))
-        if extra:
-            parts.append("extra " + ", ".join(sorted(n.value for n in extra)))
-        super().__init__("node set mismatch: " + "; ".join(parts))
-
-
 class NoOppositeError(GraphError):
     def __init__(self, node: NatureNodeId):
         self.node = node
@@ -82,15 +70,14 @@ class NatureGraph:
     """Immutable directed graph over the 13 node ids; ordered_edges sorts its edges in node order.
 
     Construction only rejects structurally broken input (duplicate head/tail
-    pairs); acyclicity and the exact node set are checked by validate_graph so
-    that deliberately broken graphs can be built and then diagnosed.
+    pairs); acyclicity is checked by validate_graph so that deliberately
+    broken graphs can be built and then diagnosed.
     """
 
-    def __init__(self, edges: Iterable[NatureEdge], nodes: Iterable[NatureNodeId] | None = None):
+    nodes: frozenset[NatureNodeId] = frozenset(NatureNodeId)
+
+    def __init__(self, edges: Iterable[NatureEdge]):
         self.edges: frozenset[NatureEdge] = frozenset(edges)
-        self.nodes: frozenset[NatureNodeId] = (
-            frozenset(nodes) if nodes is not None else frozenset(NatureNodeId)
-        )
         self.ordered_edges = tuple(sorted(self.edges, key=lambda e: (NODE_ORDER[e.head], NODE_ORDER[e.tail])))
         tails: dict[NatureNodeId, list[NatureEdge]] = {}
         for e in self.ordered_edges:
@@ -106,10 +93,10 @@ class NatureGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NatureGraph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
+        return hash(self.edges)
 
     def __repr__(self) -> str:
         return f"NatureGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
@@ -157,20 +144,8 @@ def default_graph() -> NatureGraph:
 
 
 def validate_graph(graph: NatureGraph) -> None:
-    """Check node-set completeness and acyclicity.
-
-    Raises NodeSetError when the node set differs from the canonical 13 and
-    CycleError (reporting one offending cycle) when the graph is cyclic.
-    """
-    canonical = set(NatureNodeId)
-    missing = canonical - set(graph.nodes)
-    extra = set(graph.nodes) - canonical
-    if missing or extra:
-        raise NodeSetError(missing, extra)
-
-    cycle = find_cycle(
-        sorted(graph.nodes, key=NODE_ORDER.get), lambda n: (e.tail for e in graph.out_edges(n))
-    )
+    """Raise CycleError, reporting one offending cycle, when the graph is cyclic."""
+    cycle = find_cycle(NatureNodeId, lambda n: (e.tail for e in graph.out_edges(n)))
     if cycle:
         raise CycleError(cycle)
 
@@ -225,8 +200,6 @@ def opposite_node(node: NatureNodeId) -> NatureNodeId:
 
 def transmitting_tails(graph: NatureGraph, node: NatureNodeId) -> set[NatureNodeId]:
     """Tails of all transmitting edges leaving node."""
-    if node not in graph.nodes:
-        raise ValueError(f"unknown node {node!r}")
     return {e.tail for e in graph.out_edges(node) if e.transmits}
 
 

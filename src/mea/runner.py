@@ -173,6 +173,8 @@ def load_parse_dir(
     quarantines that review instead of aborting the batch.
     """
     parse_dir = Path(parse_dir)
+    if not parse_dir.is_dir():
+        raise InputFileError(str(parse_dir), 0, "not a directory")
     by_review: dict[str, list[ParsedSentence]] = {}
     for file in sorted(parse_dir.glob("*.conllu")):
         try:

@@ -70,6 +70,14 @@ def test_missing_reviews_file_is_fatal(tmp_path):
     )
 
 
+def test_missing_parses_directory_is_fatal(tmp_path, caplog):
+    args = run_args(tmp_path / "out", classifier="heuristic")
+    args[args.index("--parses") + 1] = str(tmp_path / "no-such-dir")
+    assert main(args) == 1
+    assert "no-such-dir:0: not a directory" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_reviews_file_is_fatal_with_file_and_line(tmp_path, caplog):
     reviews = tmp_path / "reviews.csv"
     reviews.write_bytes("Id,Text\n1,caf\u00e9 au lait\n".encode("latin-1"))

@@ -5,6 +5,7 @@ import time
 from concurrent.futures import Future
 
 import pytest
+import requests
 
 from conftest import DATA, make_replay_client
 from mea.dag import ActionClass
@@ -18,6 +19,7 @@ from mea.llm import (
     LlmTransportError,
     PromptTemplate,
     ReplayMissError,
+    _http_transport,
     cache_key,
     heuristic_classifier,
     load_template,
@@ -73,17 +75,54 @@ def test_replay_requires_fixture():
         ClientConfig(mode=ClientMode.REPLAY)
 
 
-def test_live_mode_pins_temperature():
-    with pytest.raises(ValueError):
-        ClientConfig(mode=ClientMode.LIVE, temperature=0.7)
-
-
 def test_config_from_env(monkeypatch):
     monkeypatch.setenv("MEA_LLM_ENDPOINT", "http://models.local/v1")
     monkeypatch.setenv("MEA_LLM_MODEL", "glm-4-air")
     config = ClientConfig.from_env()
     assert config.endpoint == "http://models.local/v1"
     assert config.model == "glm-4-air"
+
+
+# --- the HTTP transport ------------------------------------------------------
+
+class FakeResponse:
+    def __init__(self, doc):
+        self.doc = doc
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.doc
+
+
+def test_http_transport_posts_temperature_zero_and_reads_the_completion(monkeypatch):
+    posted = []
+
+    def post(url, json, headers, timeout):
+        posted.append(json)
+        return FakeResponse({"choices": [{"message": {"content": "Physical"}}]})
+
+    monkeypatch.setattr(requests, "post", post)
+    assert _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt") == "Physical"
+    assert posted[0]["temperature"] == 0
+    assert posted[0]["messages"] == [{"role": "user", "content": "prompt"}]
+
+
+def test_http_transport_reports_a_body_without_choices_as_malformed(monkeypatch):
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse({"error": "overloaded"}))
+    with pytest.raises(LlmTransportError, match="malformed completion response"):
+        _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt")
+
+
+def test_http_transport_reports_an_empty_endpoint_as_a_request_error(monkeypatch):
+    def send(*args, **kwargs):
+        pytest.fail("nothing may be sent")
+
+    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+    with pytest.raises(LlmTransportError) as exc:
+        _http_transport(ClientConfig(endpoint=""), "prompt")
+    assert "Invalid URL" in str(exc.value) and "malformed" not in str(exc.value)
 
 
 # --- cache keys and files ----------------------------------------------------
@@ -180,13 +219,6 @@ def test_replay_serves_the_three_subtype_exemplars(replay_client):
     assert replay_client.classify_action_event("I analyze the ingredient list") is ActionClass.MENTAL
     assert replay_client.classify_action_event("I wash the apples") is ActionClass.PHYSICAL
     assert replay_client.classify_action_event("I recommend this to my friends") is ActionClass.SOCIAL
-
-
-def test_templates_load_from_custom_directory(tmp_path):
-    (tmp_path / "classify_action.txt").write_text("Pick a label for: {input}\n", encoding="utf-8")
-    template = load_template("classify_action", tmp_path)
-    assert template.template_text == "Pick a label for: {input}"
-    assert template.expected_labels == frozenset({"mental", "physical", "social"})
 
 
 def test_replay_miss_is_an_error(replay_client):
@@ -494,3 +526,43 @@ def test_close_ends_the_request_threads(tmp_path):
     client.close()
     assert not any(thread.is_alive() for thread in started)
     assert client.classify_action_event("I eat soup") is ActionClass.PHYSICAL  # cached labels still answer
+
+
+def test_close_sends_only_the_requests_already_running(tmp_path, caplog):
+    sent, started, gate = [], threading.Semaphore(0), threading.Event()
+
+    def transport(config, prompt):
+        sent.append(prompt)
+        started.release()
+        assert gate.wait(timeout=10), "gate never opened"
+        return "physical"
+
+    client = live_client(transport, tmp_path, retries=0)
+    texts = [f"I eat dish {i}" for i in range(3 * MAX_IN_FLIGHT)]
+    answers = client.classify_action_events(texts + texts[-1:])  # the repeat joins a queued request
+    for _ in range(MAX_IN_FLIGHT):
+        assert started.acquire(timeout=10)
+    waiter_errors = []
+
+    def wait_on_a_queued_request():
+        try:
+            client.classify_action_event(texts[-2])
+        except Exception as exc:
+            waiter_errors.append(exc)
+
+    waiter = threading.Thread(target=wait_on_a_queued_request)
+    waiter.start()
+    while client.stats()[0] < len(texts) + 2:  # the waiter has joined the queued request
+        time.sleep(0.001)
+    threading.Timer(0.5, gate.set).start()  # the running requests finish only after close has begun
+    client.close()
+    waiter.join(timeout=10)
+    assert len(sent) == MAX_IN_FLIGHT
+    results = answers.result(timeout=10)
+    assert results.count(ActionClass.PHYSICAL) == MAX_IN_FLIGHT
+    cancelled = [r for r in results if r is not ActionClass.PHYSICAL]
+    assert len(cancelled) == len(results) - MAX_IN_FLIGHT
+    assert all(isinstance(r, LlmTransportError) and "cancelled" in str(r) for r in cancelled)
+    assert len(waiter_errors) == 1
+    assert client._pending == {}
+    assert "exception calling callback" not in caplog.text

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mea.dag import forward_transmit
 from mea.nature import (
     CycleError,
     GraphFileError,
@@ -12,7 +13,6 @@ from mea.nature import (
     NatureGraph,
     NatureNodeId,
     NoOppositeError,
-    NodeSetError,
     DEFAULT_EDGE_TABLE,
     default_graph,
     find_cycle,
@@ -136,14 +136,6 @@ def test_validate_rejects_cycle():
     assert N.ACTION_POS in cycle
 
 
-def test_validate_rejects_wrong_node_set():
-    g = default_graph()
-    smaller = NatureGraph(g.edges, nodes=set(N) - {N.FOOD})
-    with pytest.raises(NodeSetError) as exc:
-        validate_graph(smaller)
-    assert exc.value.missing == {N.FOOD}
-
-
 def test_duplicate_edges_rejected_at_construction():
     edges = [
         NatureEdge(N.EMO_POS, N.NEED_FOOD_POS, True),
@@ -175,12 +167,6 @@ def test_transmitting_tails():
     assert transmitting_tails(g, N.EMO_POS) == {N.NEED_FOOD_POS}
     assert transmitting_tails(g, N.MENTAL_ACTION) == set()
     assert transmitting_tails(g, N.PAST_EXPERIENCE) == set()
-
-
-def test_transmitting_tails_unknown_node():
-    g = NatureGraph(default_graph().edges, nodes=set(N) - {N.FOOD})
-    with pytest.raises(ValueError):
-        transmitting_tails(g, N.FOOD)
 
 
 def test_edge_insertion_order_is_irrelevant():
@@ -228,3 +214,15 @@ def test_graph_file_errors(tmp_path):
     bad_flag.write_text("emo_pos\tneed_food_pos\tyes\n", encoding="utf-8")
     with pytest.raises(GraphFileError):
         load_graph_file(bad_flag)
+
+
+def test_a_graph_file_naming_few_nodes_still_holds_all_thirteen(tmp_path):
+    path = tmp_path / "graph.tsv"
+    path.write_text("emo_pos\tneed_food_pos\t1\nneed_food_pos\taction_pos\t0\n", encoding="utf-8")
+    g = load_graph_file(path)
+    validate_graph(g)
+    assert g.nodes == set(N)
+    for node in N:
+        expected = {N.NEED_FOOD_POS} if node is N.EMO_POS else set()
+        assert transmitting_tails(g, node) == expected
+        assert forward_transmit({node}, g) == {node} | expected

@@ -6,7 +6,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import mea.dag
+from mea.llm import ClientConfig, LlmClient, load_template
+from mea.nature import default_graph, validate_graph
 from mea.runner import run_pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -24,16 +28,33 @@ def test_every_global_the_tracer_wraps_resolves(monkeypatch):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
-def test_the_benchmarks_run_pipeline_call_binds_to_its_signature():
+def benchmark_calls(callee):
+    """Every call perfbench/batch.py makes to callee: callee(...) or a tracer wrap of it, w("...", callee)(...)."""
     tree = ast.parse((PERFBENCH / "batch.py").read_text(encoding="utf-8"))
 
-    def calls_run_pipeline(call):  # run_pipeline(...) or a tracer wrap of it, w("...", run_pipeline)(...)
+    def calls_callee(call):
         names = [call.func] + (call.func.args if isinstance(call.func, ast.Call) else [])
-        return any(isinstance(name, ast.Name) and name.id == "run_pipeline" for name in names)
+        return any(isinstance(name, ast.Name) and name.id == callee.__name__ for name in names)
 
-    (call,) = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and calls_run_pipeline(node)]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and calls_callee(node)]
+    assert calls, f"batch.py never calls {callee.__name__}"
+    return calls
+
+
+def assert_binds(call, callee):
     assert not any(isinstance(arg, ast.Starred) for arg in call.args)
     assert all(keyword.arg is not None for keyword in call.keywords)
     keywords = {keyword.arg: None for keyword in call.keywords}
-    assert "workers" in keywords
-    inspect.signature(run_pipeline).bind(*[None] * len(call.args), **keywords)
+    inspect.signature(callee).bind(*[None] * len(call.args), **keywords)
+    return keywords
+
+
+def test_the_benchmarks_run_pipeline_call_binds_to_its_signature():
+    (call,) = benchmark_calls(run_pipeline)
+    assert "workers" in assert_binds(call, run_pipeline)
+
+
+@pytest.mark.parametrize("callee", [ClientConfig, LlmClient, load_template, default_graph, validate_graph])
+def test_the_benchmarks_calls_bind_to_their_signatures(callee):
+    for call in benchmark_calls(callee):
+        assert_binds(call, callee)

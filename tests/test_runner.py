@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 import threading
@@ -5,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mea.runner
@@ -285,6 +286,38 @@ def test_failures_log_has_one_line_per_failure(data_dir, tmp_path):
     log_lines = (tmp_path / "run" / "out" / "failures.log").read_text(encoding="utf-8").splitlines()
     escaped = ["a\\x0ab", "tab\\x09here", "c\\x851", "bell\\x07"]
     assert log_lines == [f"{rid}\t{reason}" for rid, (_, reason) in zip(escaped, failures)]
+
+
+_ID_CHARS = (
+    st.sampled_from([".", "/", "\\", "\t", "\x07", "\x85"])
+    | st.characters(categories=["L"], min_codepoint=0x80)
+    | st.characters(categories=["Nd"])
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=8), min_size=1, max_size=4))
+@example(ids=["../up", "a\\b", "..", "\x85x"])  # random ids seldom climb out, so one always tries
+def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
+    parse_1 = (DATA / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        with open(root / "reviews.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["Id", "Text"]] + [[rid, "I bought this brand."] for rid in ids])
+        (root / "parses").mkdir()
+        inputs = {"reviews.csv", "parses"}
+        for i, rid in enumerate(ids):
+            if len(rid.splitlines()) == 1 and rid == rid.strip():  # else no review_id comment can carry it
+                text = parse_1.replace("# review_id = 1\n", f"# review_id = {rid}\n")
+                (root / "parses" / f"p{i}.conllu").write_text(text, encoding="utf-8")
+                inputs.add(f"parses/p{i}.conllu")
+        out = root / "run" / "deep" / "out"  # an id of 8 characters climbs at most 3 levels: still under root
+        failures = []
+        reviews = ingest_reviews(root / "reviews.csv", "csv", failures)
+        parses = load_parse_dir(root / "parses", failures)
+        run_pipeline(reviews, parses, default_graph(), lexicon, make_replay_client(), out, write_dot=True, failures=failures)
+        written = {p.relative_to(root).as_posix() for p in root.rglob("*") if out not in p.parents}
+        assert written == inputs | {"run", "run/deep", "run/deep/out"}
 
 
 def test_non_utf8_parse_file_quarantines_only_its_review(data_dir, tmp_path):
