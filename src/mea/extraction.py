@@ -257,6 +257,13 @@ ACTION_PATTERNS: tuple[ActionPattern, ...] = (
 )
 
 
+# Each pattern with its number and the deprels its v1 arcs need among v1's children.
+_PATTERN_NEEDS = tuple(
+    (number, pattern, frozenset(arc.deprel for arc in pattern.arcs if arc.head_slot == "v1"))
+    for number, pattern in enumerate(ACTION_PATTERNS, start=1)
+)
+
+
 def _bindings(
     children: dict[int, list[Token]], pattern: ActionPattern, v1: Token, subj: Token
 ) -> list[dict[str, Token]]:
@@ -290,17 +297,16 @@ def match_action_patterns(sentence: ParsedSentence) -> list[Event]:
         children.setdefault(tok.head, []).append(tok)
     events: list[Event] = []
     for v1 in sentence.tokens:
-        if not _is_verb(v1):
+        deps = children.get(v1.index, ())
+        subjects = [c for c in deps if c.deprel == "nsubj" and c.lemma in FIRST_PERSON_LEMMAS]
+        if not subjects or not _is_verb(v1):
             continue
-        subjects = [
-            c
-            for c in children.get(v1.index, ())
-            if c.deprel == "nsubj" and c.lemma in FIRST_PERSON_LEMMAS
-        ]
+        deprels = {c.deprel for c in deps}
+        patterns = [(number, pattern) for number, pattern, needs in _PATTERN_NEEDS if needs <= deprels]
         best: tuple[int, int, tuple[int, ...]] | None = None
         best_binding: tuple[str, dict[str, Token]] | None = None
         for subj in subjects:
-            for number, pattern in enumerate(ACTION_PATTERNS, start=1):
+            for number, pattern in patterns:
                 for binding in _bindings(children, pattern, v1, subj):
                     indices = tuple(sorted(t.index for t in binding.values()))
                     rank = (-len(indices), number, indices)

@@ -22,6 +22,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 from . import InputFileError, read_text
 from .dag import ActionClass
@@ -246,6 +247,10 @@ class LlmClient:
         transport: Transport | None = None,
     ):
         self.config = config
+        if transport is None and config.mode is ClientMode.LIVE:
+            url = urlsplit(config.endpoint)
+            if url.scheme not in ("http", "https") or not url.netloc:
+                raise ValueError(f"{ENDPOINT_ENV} must be an http(s):// URL, got {config.endpoint!r}")
         self._transport = transport or _http_transport
         self._templates: dict[str, PromptTemplate] = {}
         self._lock = threading.Lock()

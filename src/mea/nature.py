@@ -86,6 +86,10 @@ class NatureGraph:
                 raise ValueError(f"duplicate edge {e.head.value} -> {e.tail.value}")
             out.append(e)
         self._out = {h: tuple(es) for h, es in tails.items()}
+        # Each node with every node its transmitting edges reach; it terminates on cycles too.
+        self.closure: dict[NatureNodeId, frozenset[NatureNodeId]] = {
+            n: frozenset(reachable((n,), lambda m: transmitting_tails(self, m))) for n in self.nodes
+        }
 
     def out_edges(self, head: NatureNodeId) -> tuple[NatureEdge, ...]:
         return self._out.get(head, ())

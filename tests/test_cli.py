@@ -87,6 +87,14 @@ def test_non_utf8_reviews_file_is_fatal_with_file_and_line(tmp_path, caplog):
     assert "reviews.csv:2: not valid UTF-8" in caplog.text
 
 
+def test_live_run_without_an_endpoint_is_fatal_at_once(tmp_path, caplog, monkeypatch):
+    monkeypatch.delenv("MEA_LLM_ENDPOINT", raising=False)
+    monkeypatch.setattr("requests.adapters.HTTPAdapter.send", lambda *args, **kwargs: pytest.fail("nothing may be sent"))
+    assert main(run_args(tmp_path / "out", classifier="live")) == 1
+    assert "MEA_LLM_ENDPOINT must be an http(s):// URL, got ''" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_without_fixture_is_fatal(tmp_path):
     args = run_args(tmp_path / "out")
     args.remove("--replay-fixture")

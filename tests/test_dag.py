@@ -1,12 +1,16 @@
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_replay_client, sentence
+from conftest import make_replay_client, reference_dumps_dag, sentence
 from mea.belief import BeliefLexicon
 from mea.dag import (
     ActionClass,
+    DagLink,
+    EventNode,
+    Justification,
     MeaDag,
     build_mea_dag,
     dumps_dag,
@@ -18,10 +22,9 @@ from mea.dag import (
     needs_classifier,
     prepare_mea_dag,
     to_dot,
-    to_json,
 )
 from mea.extraction import extract_events, parse_conllu
-from mea.nature import NatureNodeId, default_graph
+from mea.nature import NatureEdge, NatureNodeId, default_graph
 
 N = NatureNodeId
 ALL_NODES = list(N)
@@ -266,8 +269,43 @@ def _union_is_acyclic(dag):
 # --- serialization -----------------------------------------------------------
 
 def test_empty_dag_serialization():
-    doc = to_json(MeaDag(review_id="empty"))
+    doc = json.loads(dumps_dag(MeaDag(review_id="empty")))
     assert doc["events"] == [] and doc["links"] == [] and doc["valid"] is False
+
+
+# Strings that stress the escaper: quotes, backslashes, control characters,
+# DEL, a line separator, non-ASCII and astral characters and lone surrogates,
+# mixed with any code point at all.
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x08\n\x1f\x7f\u2028\xe9\U0001f600\ud800\udfff'), st.characters(exclude_categories=())),
+    max_size=12,
+)
+justifications = st.one_of(
+    st.builds(Justification, kind=st.just("belief"), word=json_text, combo=json_text, flipped=st.booleans()),
+    st.builds(Justification.past_tense),
+    st.builds(Justification.classified, st.sampled_from(ActionClass)),
+)
+random_dags = st.builds(
+    MeaDag,
+    review_id=json_text,
+    events=st.lists(st.builds(EventNode, json_text, json_text, json_text, st.booleans()), max_size=4),
+    activated=st.sets(st.sampled_from(ALL_NODES)),
+    links=st.lists(st.builds(DagLink, json_text, st.sampled_from(ALL_NODES), justifications), max_size=4),
+    nature_edges=st.lists(
+        st.tuples(st.sampled_from(ALL_NODES), st.sampled_from(ALL_NODES), st.booleans())
+        .filter(lambda e: e[0] != e[1])
+        .map(lambda e: NatureEdge(*e)),
+        max_size=4,
+    ),
+    unlinked_events=st.lists(json_text, max_size=3),
+    valid=st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_dags)
+def test_dumps_dag_writes_the_reference_bytes(dag):
+    assert dumps_dag(dag) == reference_dumps_dag(dag)
 
 
 def test_dot_output_colors(data_dir, graph, lexicon, replay_client):

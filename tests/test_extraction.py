@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mea.extraction
 from conftest import sentence
 from mea.belief import BeliefLexicon, BeliefSource, BeliefTuple, PosClass
 from mea.extraction import (
@@ -357,6 +358,25 @@ def dependency_trees(draw):
 def test_matcher_agrees_with_brute_force_on_random_trees(s):
     actual = [(e.pattern_id, e.token_indices, e.verb_index) for e in match_action_patterns(s)]
     assert actual == brute_force_matches(s)
+
+
+def test_a_pattern_is_tried_only_on_verbs_with_every_deprel_its_v1_arcs_need(monkeypatch):
+    tried = []
+    bindings = mea.extraction._bindings
+
+    def record(children, pattern, v1, subj):
+        tried.append(pattern.pattern_id)
+        return bindings(children, pattern, v1, subj)
+
+    monkeypatch.setattr(mea.extraction, "_bindings", record)
+    for number, _, arcs in ORACLE_PATTERNS:
+        needed = [rel for head, _, rel in arcs if head == "v1" and rel != "nsubj"]
+        for missing in [None] + needed:
+            rows = [("I", "i", "PRP", 2, "nsubj"), ("eat", "eat", "VB", 0, "root")]
+            rows += [("x", "x", "NN", 2, rel) for rel in needed if rel != missing]
+            tried.clear()
+            match_action_patterns(sentence(rows))
+            assert (f"P{number}" in tried) == (missing is None), (number, missing)
 
 
 def test_pattern_fixture_expectations(data_dir):

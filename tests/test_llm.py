@@ -125,6 +125,15 @@ def test_http_transport_reports_an_empty_endpoint_as_a_request_error(monkeypatch
     assert "Invalid URL" in str(exc.value) and "malformed" not in str(exc.value)
 
 
+@pytest.mark.parametrize("endpoint", ["", "models.local/v1", "ftp://models.local/v1", "http://"])
+def test_a_live_client_without_a_transport_rejects_an_unusable_endpoint(endpoint):
+    with pytest.raises(ValueError, match="MEA_LLM_ENDPOINT"):
+        LlmClient(ClientConfig(endpoint=endpoint))
+    for config in (ClientConfig(endpoint="HTTPS://models.local/v1"), ClientConfig(endpoint="http://localhost:8000")):
+        LlmClient(config).close()
+    LlmClient(ClientConfig(endpoint=endpoint), transport=RecordingTransport({})).close()  # a given transport is not checked
+
+
 # --- cache keys and files ----------------------------------------------------
 
 def test_cache_key_is_stable_across_runs():

@@ -194,6 +194,21 @@ def test_single_node_closures_never_mix_needs():
         assert not ({N.NEED_FOOD_POS, N.NEED_FOOD_NEG} <= closure)
 
 
+# Edge sets over the 13 nodes, as a --graph file may give them: cycles included.
+edge_sets = st.dictionaries(
+    st.tuples(st.sampled_from(list(N)), st.sampled_from(list(N))).filter(lambda pair: pair[0] != pair[1]),
+    st.booleans(),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_sets, st.sets(st.sampled_from(list(N))))
+def test_forward_transmit_is_reachability_on_any_graph(edges, seed):
+    g = NatureGraph(NatureEdge(h, t, tr) for (h, t), tr in edges.items())  # builds before any cycle check
+    assert forward_transmit(seed, g) == reachable(seed, lambda n: transmitting_tails(g, n))
+
+
 def test_graph_file_round_trip(tmp_path):
     path = tmp_path / "graph.tsv"
     lines = ["# override"] + [f"{h.value}\t{t.value}\t{1 if tr else 0}" for h, t, tr in DEFAULT_EDGE_TABLE]
