@@ -144,22 +144,14 @@ def is_valid(dag: MeaDag) -> bool:
 
 
 def prepare_mea_dag(
+    review_id: str,
     sentences: Sequence[ParsedSentence],
     graph: NatureGraph,
     lexicon: BeliefLexicon,
-    review_id: str | None = None,
 ) -> tuple[MeaDag, list[tuple[str, Event]]]:
     """The classifier-free half of a review: extract, perceive, transmit; returns the graph and its events by id."""
-    ids = {s.review_id for s in sentences}
-    if len(ids) > 1:
-        raise ValueError(f"sentences span multiple reviews: {sorted(ids)}")
-    if ids:
-        review_id = ids.pop()
-    elif review_id is None:
-        raise ValueError("review_id required when no sentences are given")
-
     indexed: list[tuple[str, Event]] = []
-    for sentence in sorted(sentences, key=lambda s: s.sentence_index):
+    for sentence in sentences:
         for event in extract_events(sentence):
             indexed.append((f"e{len(indexed)}", event))
 
@@ -188,14 +180,14 @@ def finish_mea_dag(
 
 
 def build_mea_dag(
+    review_id: str,
     sentences: Sequence[ParsedSentence],
     graph: NatureGraph,
     lexicon: BeliefLexicon,
     classifier: ActionClassifier,
-    review_id: str | None = None,
 ) -> MeaDag:
     """Run the full per-review pipeline: extract, perceive, transmit, act."""
-    dag, events = prepare_mea_dag(sentences, graph, lexicon, review_id)
+    dag, events = prepare_mea_dag(review_id, sentences, graph, lexicon)
     return finish_mea_dag(dag, events, graph, classifier)
 
 

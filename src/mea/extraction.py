@@ -38,30 +38,10 @@ class Token:
     head: int           # 0 = root
     deprel: str
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if self.head == self.index:
-            raise ValueError(f"token {self.index} heads itself")
-        if not self.pos_tag:
-            raise ValueError(f"token {self.index} has an empty POS tag")
-
 
 @dataclass(frozen=True)
 class ParsedSentence:
     tokens: tuple[Token, ...]
-    review_id: str
-    sentence_index: int
-
-    def __post_init__(self) -> None:
-        for pos, tok in enumerate(self.tokens, start=1):
-            if tok.index != pos:
-                raise ValueError(f"token indices not contiguous at position {pos}")
-            if tok.head < 0 or tok.head > len(self.tokens):
-                raise ValueError(f"token {tok.index} has dangling head {tok.head}")
-        roots = [t for t in self.tokens if t.head == 0]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root token, found {len(roots)}")
 
     @property
     def root(self) -> Token:
@@ -118,54 +98,53 @@ _REVIEW_ID_RE = re.compile(r"^#\s*review_id\s*=\s*(.+?)\s*$")
 
 
 def parse_conllu(path: str | Path) -> list[ParsedSentence]:
-    """Parse a 10-column CoNLL-U style file into sentences.
+    """Parse one review's 10-column CoNLL-U style file into its sentences, in file order.
 
     Uses columns ID, FORM, LEMMA, XPOS, HEAD and DEPREL; the rest are carried
     by the format but ignored. Sentences are blank-line separated and each
-    needs a `# review_id = ...` comment.
+    needs a `# review_id = ...` comment equal to the file's stem. This is the
+    one place a parse is checked: IDs run from 1, heads are in range and not
+    the token itself, XPOS is non-empty and each sentence has one root.
     """
     path = Path(path)
     sentences: list[ParsedSentence] = []
-    counters: dict[str, int] = {}
-    review_id: str | None = None
+    has_review_id = False
     rows: list[tuple[int, list[str]]] = []
     start_line = 0
 
     def flush() -> None:
-        nonlocal review_id, rows
-        if not rows:
-            review_id = None
-            return
-        if review_id is None:
-            raise ConlluError(str(path), start_line, "sentence has no review_id comment")
-        tokens = []
-        for line_no, fields in rows:
-            try:
-                idx = int(fields[0])
-                head = int(fields[6])
-            except ValueError:
-                raise ConlluError(str(path), line_no, "ID and HEAD must be integers") from None
-            try:
-                tokens.append(
-                    Token(
-                        index=idx,
-                        surface=fields[1],
-                        lemma=fields[2].lower(),
-                        pos_tag=fields[4],
-                        head=head,
-                        deprel=fields[7],
-                    )
-                )
-            except ValueError as exc:
-                raise ConlluError(str(path), line_no, str(exc)) from None
-        index = counters.get(review_id, 0)
-        counters[review_id] = index + 1
-        try:
-            sentences.append(ParsedSentence(tuple(tokens), review_id, index))
-        except ValueError as exc:
-            raise ConlluError(str(path), start_line, str(exc)) from None
-        review_id = None
-        rows = []
+        nonlocal has_review_id, rows
+        if rows:
+            if not has_review_id:
+                raise ConlluError(str(path), start_line, "sentence has no review_id comment")
+            tokens = []
+            fault = None  # the first sentence-level fault, reported after any token's own fault
+            roots = 0
+            for pos, (line_no, fields) in enumerate(rows, start=1):
+                try:
+                    idx = int(fields[0])
+                    head = int(fields[6])
+                except ValueError:
+                    raise ConlluError(str(path), line_no, "ID and HEAD must be integers") from None
+                if idx < 1:
+                    raise ConlluError(str(path), line_no, f"token index must be >= 1, got {idx}")
+                if head == idx:
+                    raise ConlluError(str(path), line_no, f"token {idx} heads itself")
+                if not fields[4]:
+                    raise ConlluError(str(path), line_no, f"token {idx} has an empty POS tag")
+                if fault is None:
+                    if idx != pos:
+                        fault = f"token indices not contiguous at position {pos}"
+                    elif not 0 <= head <= len(rows):
+                        fault = f"token {idx} has dangling head {head}"
+                roots += head == 0
+                tokens.append(Token(idx, fields[1], fields[2].lower(), fields[4], head, fields[7]))
+            if fault is None and roots != 1:
+                fault = f"expected exactly one root token, found {roots}"
+            if fault is not None:
+                raise ConlluError(str(path), start_line, fault)
+            sentences.append(ParsedSentence(tuple(tokens)))
+        has_review_id, rows = False, []
 
     for line_no, raw in enumerate(read_text(path, ConlluError).splitlines(), start=1):
         if not raw.strip():
@@ -174,7 +153,9 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         if raw.startswith("#"):
             m = _REVIEW_ID_RE.match(raw)
             if m:
-                review_id = m.group(1)
+                if m.group(1) != path.stem:
+                    raise ConlluError(str(path), line_no, f"review_id {m.group(1)!r} does not match the file name")
+                has_review_id = True
             continue
         fields = split_fields(raw, 10, path, line_no, ConlluError)
         if not rows:

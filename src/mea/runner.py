@@ -167,10 +167,11 @@ def load_parse_dir(
     parse_dir: str | Path,
     failures: list[tuple[str, str]] | None = None,
 ) -> dict[str, list[ParsedSentence]]:
-    """Parse every *.conllu file in a directory, grouping sentences by review.
+    """Parse every *.conllu file in a directory into {file stem: its sentences}.
 
-    Files are named after the review id they carry; a file that fails to parse
-    quarantines that review instead of aborting the batch.
+    A file is one review's parse and its stem is the review id. A file that
+    fails to parse, e.g. with a `# review_id` other than its stem, quarantines
+    that review instead of aborting the batch; a file without sentences adds none.
     """
     parse_dir = Path(parse_dir)
     if not parse_dir.is_dir():
@@ -182,8 +183,8 @@ def load_parse_dir(
         except ConlluError as exc:
             _skip(failures, file.stem, f"parse error: {exc}")
             continue
-        for sentence in sentences:
-            by_review.setdefault(sentence.review_id, []).append(sentence)
+        if sentences:
+            by_review[file.stem] = sentences
     return by_review
 
 
@@ -263,7 +264,7 @@ def run_pipeline(
 
     for position, record in enumerate(work):
         try:
-            dag, events = prepare_mea_dag(parses[record.review_id], graph, lexicon)
+            dag, events = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
             review = _Prepared(record, dag, events, [event.text for _, event in events if needs_classifier(event)])
             answers = client.classify_action_events(review.texts)
         except Exception as exc:  # quarantined per review

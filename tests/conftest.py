@@ -39,7 +39,7 @@ def replay_client() -> LlmClient:
     return make_replay_client()
 
 
-def sentence(rows, review_id="t", sentence_index=0):
+def sentence(rows):
     """Build a ParsedSentence from (surface, lemma, xpos, head, deprel) rows."""
     from mea.extraction import ParsedSentence, Token
 
@@ -47,7 +47,7 @@ def sentence(rows, review_id="t", sentence_index=0):
         Token(index=i, surface=surface, lemma=lemma, pos_tag=xpos, head=head, deprel=deprel)
         for i, (surface, lemma, xpos, head, deprel) in enumerate(rows, start=1)
     )
-    return ParsedSentence(tokens, review_id, sentence_index)
+    return ParsedSentence(tokens)
 
 
 # --- reference graph serializer ---------------------------------------------

@@ -43,9 +43,9 @@ def test_run_sample_report_chain(tmp_path, capsys):
     assert "Negation Loss" in rendered
 
 
-def test_run_with_dot_and_workers(tmp_path):
+def test_run_with_dot(tmp_path):
     out = tmp_path / "out"
-    assert main(run_args(out) + ["--dot", "--workers", "3"]) == 0
+    assert main(run_args(out) + ["--dot"]) == 0
     assert (out / "1.dot").exists()
 
 

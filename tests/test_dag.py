@@ -75,8 +75,7 @@ def meatball_sentence():
             ("makes", "make", "VBZ", 0, "root"),
             ("perfect", "perfect", "JJ", 5, "amod"),
             ("meatballs", "meatball", "NNS", 3, "dobj"),
-        ],
-        review_id="m",
+        ]
     )
 
 
@@ -103,17 +102,14 @@ def test_same_node_from_two_events_keeps_both_links(graph, lexicon):
             ("I", "i", "PRP", 3, "nsubj"),
             ("am", "be", "VBP", 3, "cop"),
             ("happy", "happy", "JJ", 0, "root"),
-        ],
-        review_id="t",
+        ]
     )
     s2 = sentence(
         [
             ("We", "we", "PRP", 3, "nsubj"),
             ("are", "be", "VBP", 3, "cop"),
             ("happy", "happy", "JJ", 0, "root"),
-        ],
-        review_id="t",
-        sentence_index=1,
+        ]
     )
     events = []
     for s in (s1, s2):
@@ -200,7 +196,7 @@ def test_is_valid(activated, expected):
 
 def test_build_meatball_review(data_dir, graph, lexicon, replay_client):
     sentences = parse_conllu(data_dir / "corpus" / "parses" / "1.conllu")
-    dag = build_mea_dag(sentences, graph, lexicon, replay_client.classify_action_event)
+    dag = build_mea_dag("1", sentences, graph, lexicon, replay_client.classify_action_event)
     assert dag.valid
     assert N.NEED_FOOD_POS in dag.activated
     belief_links = [l for l in dag.links if l.justification.kind == "belief"]
@@ -209,34 +205,27 @@ def test_build_meatball_review(data_dir, graph, lexicon, replay_client):
 
 def test_build_negated_review(data_dir, graph, lexicon, replay_client):
     sentences = parse_conllu(data_dir / "corpus" / "parses" / "2.conllu")
-    dag = build_mea_dag(sentences, graph, lexicon, replay_client.classify_action_event)
+    dag = build_mea_dag("2", sentences, graph, lexicon, replay_client.classify_action_event)
     assert dag.valid
     assert {N.EMO_NEG, N.NEED_FOOD_NEG, N.ACTION_NEG} <= dag.activated
 
 
 def test_build_conflicting_review_is_invalid(data_dir, graph, lexicon, replay_client):
     sentences = parse_conllu(data_dir / "corpus" / "parses" / "3.conllu")
-    dag = build_mea_dag(sentences, graph, lexicon, replay_client.classify_action_event)
+    dag = build_mea_dag("3", sentences, graph, lexicon, replay_client.classify_action_event)
     assert not dag.valid
     assert {N.NEED_FOOD_POS, N.NEED_FOOD_NEG} <= dag.activated
 
 
 def test_build_empty_review(graph, lexicon):
-    dag = build_mea_dag([], graph, lexicon, lambda text: None, review_id="empty")
+    dag = build_mea_dag("empty", [], graph, lexicon, lambda text: None)
     assert dag.events == [] and not dag.valid
-
-
-def test_build_rejects_mixed_reviews(graph, lexicon):
-    s1 = sentence([("I", "i", "PRP", 2, "nsubj"), ("freeze", "freeze", "VBP", 0, "root")], review_id="a")
-    s2 = sentence([("I", "i", "PRP", 2, "nsubj"), ("freeze", "freeze", "VBP", 0, "root")], review_id="b")
-    with pytest.raises(ValueError):
-        build_mea_dag([s1, s2], graph, lexicon, lambda text: None)
 
 
 def test_built_dags_are_acyclic_and_justified(data_dir, graph, lexicon):
     client = make_replay_client()
     for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
-        dag = build_mea_dag(parse_conllu(path), graph, lexicon, client.classify_action_event)
+        dag = build_mea_dag(path.stem, parse_conllu(path), graph, lexicon, client.classify_action_event)
         # activation support: every activated node is perceived or reachable
         seeds = {l.node for l in dag.links}
         assert dag.activated == forward_transmit(seeds & dag.activated, graph)
@@ -310,7 +299,7 @@ def test_dumps_dag_writes_the_reference_bytes(dag):
 
 def test_dot_output_colors(data_dir, graph, lexicon, replay_client):
     sentences = parse_conllu(data_dir / "corpus" / "parses" / "1.conllu")
-    dag = build_mea_dag(sentences, graph, lexicon, replay_client.classify_action_event)
+    dag = build_mea_dag("1", sentences, graph, lexicon, replay_client.classify_action_event)
     dot = to_dot(dag)
     assert '"need_food_pos" [color=red];' in dot
     assert "color=green" in dot
@@ -319,7 +308,7 @@ def test_dot_output_colors(data_dir, graph, lexicon, replay_client):
 
 def test_link_actions_asks_the_classifier_about_exactly_the_needs_classifier_events(data_dir, graph, lexicon):
     for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
-        dag, events = prepare_mea_dag(parse_conllu(path), graph, lexicon)
+        dag, events = prepare_mea_dag(path.stem, parse_conllu(path), graph, lexicon)
         asked = []
         finish_mea_dag(dag, events, graph, lambda text: asked.append(text))
         assert asked == [event.text for _, event in events if needs_classifier(event)]
@@ -330,6 +319,6 @@ def test_prepare_then_finish_equals_build(data_dir, graph, lexicon):
     client = make_replay_client()
     for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
         sentences = parse_conllu(path)
-        dag, events = prepare_mea_dag(sentences, graph, lexicon)
+        dag, events = prepare_mea_dag(path.stem, sentences, graph, lexicon)
         finished = finish_mea_dag(dag, events, graph, client.classify_action_event)
-        assert dumps_dag(finished) == dumps_dag(build_mea_dag(sentences, graph, lexicon, client.classify_action_event))
+        assert dumps_dag(finished) == dumps_dag(build_mea_dag(path.stem, sentences, graph, lexicon, client.classify_action_event))

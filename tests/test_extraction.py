@@ -13,7 +13,6 @@ from mea.extraction import (
     ConlluError,
     Event,
     Tense,
-    Token,
     classify_tense,
     detect_negation,
     detect_perception,
@@ -42,7 +41,7 @@ def small_lexicon():
 # --- parsing -----------------------------------------------------------------
 
 def test_parse_minimal_sentence(tmp_path):
-    path = tmp_path / "s.conllu"
+    path = tmp_path / "r1.conllu"
     path.write_text(
         "# review_id = r1\n"
         "1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n"
@@ -51,13 +50,12 @@ def test_parse_minimal_sentence(tmp_path):
     )
     sentences = parse_conllu(path)
     assert len(sentences) == 1
-    assert sentences[0].review_id == "r1"
     assert len(sentences[0].tokens) == 2
     assert sentences[0].root.lemma == "freeze"
 
 
 def test_parse_rejects_dangling_head(tmp_path):
-    path = tmp_path / "s.conllu"
+    path = tmp_path / "r1.conllu"
     path.write_text(
         "# review_id = r1\n"
         "1\tI\ti\tPRON\tPRP\t_\t9\tnsubj\t_\t_\n"
@@ -70,7 +68,7 @@ def test_parse_rejects_dangling_head(tmp_path):
 
 
 def test_parse_rejects_multiple_roots(tmp_path):
-    path = tmp_path / "s.conllu"
+    path = tmp_path / "r1.conllu"
     path.write_text(
         "# review_id = r1\n"
         "1\tI\ti\tPRON\tPRP\t_\t0\troot\t_\t_\n"
@@ -83,7 +81,7 @@ def test_parse_rejects_multiple_roots(tmp_path):
 
 
 def test_parse_rejects_malformed_row_with_line_number(tmp_path):
-    path = tmp_path / "s.conllu"
+    path = tmp_path / "r1.conllu"
     path.write_text("# review_id = r1\n1\tI\ti\tPRP\n", encoding="utf-8")
     with pytest.raises(ConlluError) as exc:
         parse_conllu(path)
@@ -91,7 +89,7 @@ def test_parse_rejects_malformed_row_with_line_number(tmp_path):
 
 
 def test_parse_requires_review_id(tmp_path):
-    path = tmp_path / "s.conllu"
+    path = tmp_path / "r1.conllu"
     path.write_text("1\tX\tx\tNOUN\tNN\t_\t0\troot\t_\t_\n", encoding="utf-8")
     with pytest.raises(ConlluError) as exc:
         parse_conllu(path)
@@ -101,7 +99,6 @@ def test_parse_requires_review_id(tmp_path):
 def test_parse_counts_sentences_in_file_order(data_dir):
     sentences = parse_conllu(data_dir / "patterns.conllu")
     assert len(sentences) == 14
-    assert [s.sentence_index for s in sentences] == list(range(14))
 
 
 _CONLLU_PIECES = st.sampled_from(
@@ -125,11 +122,39 @@ def test_parse_raises_only_conllu_error_on_arbitrary_bytes(tmp_path_factory, dat
         pass
 
 
-def test_token_invariants():
-    with pytest.raises(ValueError):
-        Token(index=1, surface="x", lemma="x", pos_tag="NN", head=1, deprel="dep")
-    with pytest.raises(ValueError):
-        Token(index=1, surface="x", lemma="x", pos_tag="", head=0, deprel="root")
+_I_FREEZE = "1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n"
+
+
+@pytest.mark.parametrize(
+    "token_row, message, line_no",
+    [
+        ("2\tfreeze\tfreeze\tVERB\tVBP\t_\t2\troot\t_\t_\n", "token 2 heads itself", 3),
+        ("2\tfreeze\tfreeze\tVERB\t\t_\t0\troot\t_\t_\n", "token 2 has an empty POS tag", 3),
+        ("3\tfreeze\tfreeze\tVERB\tVBP\t_\t0\troot\t_\t_\n", "token indices not contiguous at position 2", 2),
+        ("0\tfreeze\tfreeze\tVERB\tVBP\t_\t0\troot\t_\t_\n", "token index must be >= 1, got 0", 3),
+    ],
+    ids=["self-head", "empty-xpos", "index-gap", "index-0"],
+)
+def test_parse_rejects_malformed_token_at_its_line(tmp_path, token_row, message, line_no):
+    """Token checks name the token's line; sentence checks (contiguity) name the sentence's first line."""
+    path = tmp_path / "r1.conllu"
+    path.write_text("# review_id = r1\n" + _I_FREEZE + token_row, encoding="utf-8")
+    with pytest.raises(ConlluError) as exc:
+        parse_conllu(path)
+    assert str(exc.value) == f"{path}:{line_no}: {message}"
+    assert exc.value.line_no == line_no
+
+
+def test_parse_rejects_a_review_id_other_than_the_file_name(tmp_path):
+    path = tmp_path / "2.conllu"
+    path.write_text(
+        "# review_id = 2\n" + _I_FREEZE + "2\tfreeze\tfreeze\tVERB\tVBP\t_\t0\troot\t_\t_\n\n"
+        "# review_id = 1\n" + _I_FREEZE + "2\tgo\tgo\tVERB\tVBP\t_\t0\troot\t_\t_\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConlluError) as exc:
+        parse_conllu(path)
+    assert str(exc.value) == f"{path}:5: review_id '1' does not match the file name"
 
 
 # --- action patterns ---------------------------------------------------------

@@ -254,7 +254,7 @@ def run_csv_corpus(data_dir, root, rows, parses):
 def test_unsafe_csv_ids_are_quarantined_inside_out_dir(data_dir, tmp_path):
     unsafe = ["../escaped", "..", ".", "a\\b", "tab\there", "bell\x07"]
     rows = [("1", "I bought this brand.")] + [(rid, "I bought this brand.") for rid in unsafe]
-    parses = {"1": "1", "escaped": "../escaped", "dots": ".."}
+    parses = {"1": "1"}  # an unsafe id can have no parse: its file would have to be named after it
     stats, failures = run_csv_corpus(data_dir, tmp_path, rows, parses)
     out = tmp_path / "run" / "out"
     outside = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p != out and out not in p.parents}
@@ -264,6 +264,19 @@ def test_unsafe_csv_ids_are_quarantined_inside_out_dir(data_dir, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["1.json", "failures.log", "index.json", "stats.json"]
     assert stats.total_reviews == 1
     assert stats.failed_reviews == len(unsafe)
+
+
+def test_a_parse_file_cannot_add_sentences_to_another_review(data_dir, tmp_path):
+    rows = [("1", "I bought this brand."), ("2", "I bought this brand.")]
+    (tmp_path / "alone").mkdir()
+    (tmp_path / "lying").mkdir()
+    run_csv_corpus(data_dir, tmp_path / "alone", rows, {"1": "1"})
+    stats, failures = run_csv_corpus(data_dir, tmp_path / "lying", rows, {"1": "1", "2": "1"})
+    lying = tmp_path / "lying" / "parses" / "2.conllu"
+    assert failures == [("2", f"parse error: {lying}:1: review_id '1' does not match the file name")]
+    assert stats.failed_reviews == 1
+    graph_1 = (tmp_path / "lying" / "run" / "out" / "1.json").read_bytes()
+    assert graph_1 == (tmp_path / "alone" / "run" / "out" / "1.json").read_bytes()
 
 
 def test_every_row_of_a_duplicated_csv_id_is_quarantined(data_dir, tmp_path):
@@ -306,11 +319,13 @@ def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
             csv.writer(fh).writerows([["Id", "Text"]] + [[rid, "I bought this brand."] for rid in ids])
         (root / "parses").mkdir()
         inputs = {"reviews.csv", "parses"}
-        for i, rid in enumerate(ids):
-            if len(rid.splitlines()) == 1 and rid == rid.strip():  # else no review_id comment can carry it
+        for rid in ids:
+            # A parse is named after its id, so no id holding / can have one, nor one that no
+            # review_id comment can carry.
+            if "/" not in rid and len(rid.splitlines()) == 1 and rid == rid.strip():
                 text = parse_1.replace("# review_id = 1\n", f"# review_id = {rid}\n")
-                (root / "parses" / f"p{i}.conllu").write_text(text, encoding="utf-8")
-                inputs.add(f"parses/p{i}.conllu")
+                (root / "parses" / f"{rid}.conllu").write_text(text, encoding="utf-8")
+                inputs.add(f"parses/{rid}.conllu")
         out = root / "run" / "deep" / "out"  # an id of 8 characters climbs at most 3 levels: still under root
         failures = []
         reviews = ingest_reviews(root / "reviews.csv", "csv", failures)
@@ -449,7 +464,7 @@ def classifier_texts(parses):
     return {
         review_id: [
             event.text
-            for s in sorted(sentences, key=lambda s: s.sentence_index)
+            for s in sentences
             for event in extract_events(s)
             if event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
         ]
