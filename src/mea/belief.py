@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import InputFileError, read_text, split_fields
 from .nature import NatureNodeId, find_cycle, reachable
@@ -73,26 +73,34 @@ def normalize_word(word: str) -> str:
     return word.replace("_", " ").strip().lower()
 
 
-@dataclass(frozen=True)
-class BeliefTuple:
-    word: str
-    node: NatureNodeId
-    source: BeliefSource
-    pos_class: PosClass
+def _by_value(enum: type[Enum]) -> Callable[[str], Enum]:
+    """``enum(value)`` through a value -> member table; a miss still raises the Enum's ValueError."""
+    table = {member.value: member for member in enum}
+    return lambda value: table[value] if value in table else enum(value)
 
-    def __post_init__(self) -> None:
-        if self.node not in PERCEPTION_NODES:
-            raise ValueError(f"{self.node.value} is not a perception node")
-        if not self.word or self.word != self.word.strip().lower():
-            raise ValueError(f"word must be non-empty, lowercase, trimmed: {self.word!r}")
-        if self.source is BeliefSource.WORDNET_HYPONYM and (
-            self.node is not NatureNodeId.FOOD or self.pos_class is not PosClass.NOUN
-        ):
+
+_NODE, _SOURCE, _POS, _EMOTION = map(_by_value, (NatureNodeId, BeliefSource, PosClass, EmotionClass))
+_POLAR_PAIRS = ((NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG), (NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG))
+_SINGLE_NODE = {node: frozenset([node]) for node in PERCEPTION_NODES}
+
+
+class BeliefTuple(NamedTuple("_BeliefFields", [("word", str), ("node", NatureNodeId), ("source", BeliefSource), ("pos_class", PosClass)])):
+    """One immutable, hashable lexicon entry, validated when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: str, node: NatureNodeId, source: BeliefSource, pos_class: PosClass) -> BeliefTuple:
+        if node not in PERCEPTION_NODES:
+            raise ValueError(f"{node.value} is not a perception node")
+        if not word or word != word.strip().lower():
+            raise ValueError(f"word must be non-empty, lowercase, trimmed: {word!r}")
+        if source is BeliefSource.WORDNET_HYPONYM and (node is not NatureNodeId.FOOD or pos_class is not PosClass.NOUN):
             raise ValueError("hyponym-sourced tuples must be food nouns")
+        return tuple.__new__(cls, (word, node, source, pos_class))
 
 
 class BeliefLexicon:
-    """Immutable set of belief tuples with a word -> nodes index.
+    """Immutable set of belief tuples, indexed by word once, when it is built.
 
     Rejects duplicate (word, node) pairs and words mapped to both polarities
     of the same family; such conflicts must be resolved during compilation.
@@ -100,36 +108,39 @@ class BeliefLexicon:
 
     def __init__(self, tuples: Iterable[BeliefTuple]):
         self.tuples: frozenset[BeliefTuple] = frozenset(tuples)
-        by_word: dict[str, list[BeliefTuple]] = {}
-        seen_pairs: set[tuple[str, NatureNodeId]] = set()
-        for t in sorted(self.tuples, key=lambda t: (t.word, t.node.value, t.source.value)):
-            pair = (t.word, t.node)
-            if pair in seen_pairs:
-                raise ValueError(f"duplicate lexicon entry for ({t.word!r}, {t.node.value})")
-            seen_pairs.add(pair)
-            by_word.setdefault(t.word, []).append(t)
-        for word, entries in by_word.items():
-            nodes = {t.node for t in entries}
-            for a, b in (
-                (NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG),
-                (NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG),
-            ):
+        by_word: dict[str, tuple[BeliefTuple, ...]] = {}
+        for t in self.tuples:
+            by_word[t.word] = by_word.get(t.word, ()) + (t,)
+        repeated = sorted(word for word, entries in by_word.items() if len(entries) > 1)
+        for word in repeated:
+            by_word[word] = entries = tuple(sorted(by_word[word], key=lambda t: (t.node.value, t.source.value)))
+            for a, b in zip(entries, entries[1:]):
+                if a.node is b.node:
+                    raise ValueError(f"duplicate lexicon entry for ({word!r}, {a.node.value})")
+        shared: dict[frozenset[NatureNodeId], frozenset[NatureNodeId]] = {}  # one per distinct set, at most 2**5
+        self._nodes = {word: _SINGLE_NODE[entries[0].node] for word, entries in by_word.items()}
+        for word in repeated:
+            nodes = frozenset(t.node for t in by_word[word])
+            for a, b in _POLAR_PAIRS:
                 if a in nodes and b in nodes:
                     raise ValueError(f"{word!r} maps to both {a.value} and {b.value}")
-        self._by_word = {w: tuple(es) for w, es in by_word.items()}
+            self._nodes[word] = shared.setdefault(nodes, nodes)
+        self._by_word = by_word
 
     def lookup(self, word: str) -> set[NatureNodeId]:
-        """Nodes linked to a word; case-insensitive, empty set when unknown."""
-        return {t.node for t in self._by_word.get(word.casefold(), ())}
+        """Nodes linked to a word, as a new set; case-insensitive, empty when unknown."""
+        return set(self._nodes.get(word.casefold(), ()))
 
     def tuples_for(self, word: str) -> tuple[BeliefTuple, ...]:
+        """A word's entries by (node, source) value; case-insensitive, empty when unknown."""
         return self._by_word.get(word.casefold(), ())
 
     def __len__(self) -> int:
         return len(self.tuples)
 
     def __iter__(self) -> Iterator[BeliefTuple]:
-        return iter(sorted(self.tuples, key=lambda t: (t.word, t.node.value)))
+        """Entries by (word, node) value: a word's entries are already in node order."""
+        return (t for word in sorted(self._by_word) for t in self._by_word[word])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BeliefLexicon):
@@ -305,7 +316,7 @@ def loads_lexicon(text: str, origin: str = "<string>") -> BeliefLexicon:
             continue
         word, node_s, source_s, pos_s = split_fields(line, 4, origin, line_no, LexiconFormatError)
         try:
-            tuples.append(BeliefTuple(word, NatureNodeId(node_s), BeliefSource(source_s), PosClass(pos_s)))
+            tuples.append(BeliefTuple(word, _NODE(node_s), _SOURCE(source_s), _POS(pos_s)))
         except ValueError as exc:
             raise LexiconFormatError(origin, line_no, str(exc)) from None
     try:
@@ -329,7 +340,7 @@ def parse_sense_file(path: str | Path) -> list[SenseRecord]:
         lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no, LexiconFormatError)
         try:
             records.append(
-                SenseRecord(lemma, PosClass(pos_s), float(pos_score_s), float(neg_score_s), sense_id)
+                SenseRecord(lemma, _POS(pos_s), float(pos_score_s), float(neg_score_s), sense_id)
             )
         except ValueError as exc:
             raise LexiconFormatError(str(path), line_no, str(exc)) from None
@@ -350,8 +361,8 @@ def parse_emotion_file(path: str | Path) -> list[EmotionBaseWord]:
             continue
         word, emo_s, pos_s, kind = split_fields(raw, 4, path, line_no, LexiconFormatError)
         try:
-            emotion = EmotionClass(emo_s)
-            pos_class = PosClass(pos_s)
+            emotion = _EMOTION(emo_s)
+            pos_class = _POS(pos_s)
         except ValueError as exc:
             raise LexiconFormatError(str(path), line_no, str(exc)) from None
         if kind == "base":

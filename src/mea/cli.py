@@ -15,6 +15,7 @@ from .belief import BeliefLexicon
 from .llm import ClientConfig, ClientMode, LlmClient
 from .nature import default_graph, load_graph_file, validate_graph
 from .runner import (
+    OrphanParseError,
     ingest_reviews,
     load_parse_dir,
     render_report,
@@ -86,16 +87,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = load_graph_file(args.graph) if args.graph else default_graph()
     validate_graph(graph)
     with closing(_make_client(args)) as client:
-        stats = run_pipeline(
-            reviews,
-            parses,
-            graph,
-            lexicon,
-            client,
-            args.out,
-            write_dot=args.dot,
-            failures=failures,
-        )
+        try:
+            stats = run_pipeline(reviews, parses, graph, lexicon, client, args.out, write_dot=args.dot, failures=failures)
+        except OrphanParseError as exc:
+            raise OrphanParseError(f"{args.parses}: {exc}") from None
     print(
         f"{stats.total_reviews} reviews, {stats.reviews_with_events} with events, "
         f"{stats.valid_dags} valid graphs, {stats.failed_reviews} failed"

@@ -75,6 +75,10 @@ class _Prepared(NamedTuple):  # a review built up to its classifier calls
     texts: list[str]  # what its action events ask the classifier, in event order
 
 
+class OrphanParseError(ValueError):
+    """Parse files, named <stem>.conllu, whose stems name no ingested or skipped review."""
+
+
 class ReportValidationError(Exception):
     def __init__(self, offenders: list[str]):
         self.offenders = offenders
@@ -209,7 +213,7 @@ def run_pipeline(
         failures = []
     unknown = sorted(set(parses) - {r.review_id for r in reviews} - {rid for rid, _ in failures})
     if unknown:
-        raise ValueError(f"parse files reference unknown review ids: {', '.join(unknown)}")
+        raise OrphanParseError("parse files name no ingested or skipped review: " + ", ".join(f"{r}.conllu" for r in unknown))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -64,6 +64,14 @@ def test_lexicon_rejects_polarity_conflicts():
         BeliefLexicon([a, b])
 
 
+def test_tuple_is_immutable_and_hashable():
+    t = food("meatball")
+    with pytest.raises(AttributeError):
+        t.word = "pizza"
+    assert hash(t) == hash(food("meatball"))
+    assert len({t, food("meatball"), food("pizza")}) == 2
+
+
 def test_lookup_is_case_insensitive(lexicon):
     assert lexicon.lookup("meatball") == {N.FOOD}
     assert lexicon.lookup("Meatball") == {N.FOOD}
@@ -225,7 +233,7 @@ def test_emotion_file_rejects_unknown_class(tmp_path):
     path.write_text("blissful\tEcstasy\tadjective\tbase\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError) as exc:
         parse_emotion_file(path)
-    assert exc.value.line_no == 1
+    assert str(exc.value) == f"{path}:1: 'Ecstasy' is not a valid EmotionClass"
 
 
 def test_emotion_file_extension_needs_matching_base(tmp_path):
@@ -252,6 +260,72 @@ def test_deserialize_reports_bad_lines():
     assert exc.value.line_no == 2
     with pytest.raises(LexiconFormatError):
         loads_lexicon("no header\n")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("pie\tpastry\twordnet_hyponym\tnoun", "'pastry' is not a valid NatureNodeId"),
+        ("pie\tfood\twordnet\tnoun", "'wordnet' is not a valid BeliefSource"),
+        ("pie\tfood\twordnet_hyponym\tNoun", "'Noun' is not a valid PosClass"),
+    ],
+)
+def test_lexicon_rejects_an_unknown_value_at_its_line(row, message):
+    with pytest.raises(LexiconFormatError) as exc:
+        loads_lexicon(f"#mea-lexicon v1\nmeatball\tfood\twordnet_hyponym\tnoun\n{row}\n", origin="lex.tsv")
+    assert str(exc.value) == f"lex.tsv:3: {message}"
+
+
+def test_sense_file_rejects_an_unknown_pos_class_at_its_line(tmp_path):
+    path = tmp_path / "senses.tsv"
+    path.write_text("# lemma\tpos\ntasty\tadjective\t0.8\t0.0\ts1\nfast\tadverb\t0.8\t0.0\ts2\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as exc:
+        parse_sense_file(path)
+    assert str(exc.value) == f"{path}:3: 'adverb' is not a valid PosClass"
+
+
+def test_emotion_file_rejects_an_unknown_pos_class_at_its_line(tmp_path):
+    path = tmp_path / "emotions.tsv"
+    path.write_text("cheerful\tJoy\tadjective\tbase\nblissful\tJoy\tadverb\tbase\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as exc:
+        parse_emotion_file(path)
+    assert str(exc.value) == f"{path}:2: 'adverb' is not a valid PosClass"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (  # two duplicated words: the first in word order is reported, not the first in the file
+            ["zest\temo_pos\temotion_base\tverb", "zest\temo_pos\temotion_extension\tadjective",
+             "apple\tfood\twordnet_hyponym\tnoun", "apple\tfood\tsentiwordnet\tnoun"],
+            "duplicate lexicon entry for ('apple', food)",
+        ),
+        (  # two conflicting words
+            ["zest\temo_pos\temotion_base\tverb", "zest\temo_neg\temotion_base\tverb",
+             "odd\texperience_feeling_pos\tsentiwordnet\tadjective", "odd\texperience_feeling_neg\tsentiwordnet\tadjective"],
+            "'odd' maps to both experience_feeling_pos and experience_feeling_neg",
+        ),
+        (  # any duplicate is reported before any conflict
+            ["apple\temo_pos\temotion_base\tverb", "apple\temo_neg\temotion_base\tverb",
+             "zest\tfood\twordnet_hyponym\tnoun", "zest\tfood\tsentiwordnet\tnoun"],
+            "duplicate lexicon entry for ('zest', food)",
+        ),
+        (  # within a word, the first duplicated node by value
+            ["pie\tfood\twordnet_hyponym\tnoun", "pie\tfood\tsentiwordnet\tnoun",
+             "pie\temo_pos\temotion_base\tverb", "pie\temo_pos\temotion_extension\tverb"],
+            "duplicate lexicon entry for ('pie', emo_pos)",
+        ),
+        (  # within a word, the emotion family before the feeling family
+            ["odd\texperience_feeling_pos\tsentiwordnet\tadjective", "odd\texperience_feeling_neg\tsentiwordnet\tadjective",
+             "odd\temo_pos\temotion_base\tverb", "odd\temo_neg\temotion_base\tverb"],
+            "'odd' maps to both emo_pos and emo_neg",
+        ),
+    ],
+)
+def test_lexicon_reports_the_first_duplicate_or_conflict_at_line_0(rows, message):
+    with pytest.raises(LexiconFormatError) as exc:
+        loads_lexicon("#mea-lexicon v1\n" + "\n".join(rows) + "\n", origin="lex.tsv")
+    assert str(exc.value) == f"lex.tsv:0: {message}"
 
 
 def test_bundled_lexicon_loads(data_dir, lexicon):
@@ -285,6 +359,50 @@ def test_round_trip_is_identity(lex):
 @settings(max_examples=30)
 def test_serialization_is_deterministic(lex):
     assert dumps_lexicon(lex) == dumps_lexicon(lex)
+
+
+# Every (source, pos_class) a tuple of each perception node may carry.
+ENTRY_KINDS = {
+    node: [(s, p) for s in BeliefSource for p in PosClass
+           if s is not BeliefSource.WORDNET_HYPONYM or (node is N.FOOD and p is PosClass.NOUN)]
+    for node in PERCEPTION
+}
+
+
+@st.composite
+def valid_tuple_lists(draw):
+    """The tuples of a valid lexicon in a drawn order, some repeated: per word, food
+    or not, and at most one node of each polarity family."""
+    words = draw(st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=4), max_size=12, unique=True))
+    families = ((N.FOOD, None), (N.EMO_POS, N.EMO_NEG), (N.EXPERIENCE_FEELING_POS, N.EXPERIENCE_FEELING_NEG))
+    tuples = []
+    for word in words:
+        for node in [draw(st.sampled_from((None, *family))) for family in families]:
+            if node is not None:
+                tuples.append(BeliefTuple(word, node, *draw(st.sampled_from(ENTRY_KINDS[node]))))
+    repeats = draw(st.lists(st.sampled_from(tuples), max_size=3)) if tuples else []
+    return draw(st.permutations(tuples + repeats))
+
+
+@given(valid_tuple_lists(), st.text(alphabet="abcdefgA", min_size=1, max_size=4))
+@settings(max_examples=150)
+def test_lexicon_index_matches_a_scan_of_its_tuples(tuples, probe):
+    lex = BeliefLexicon(tuples)
+    unique = set(tuples)
+    assert len(lex) == len(unique)
+    for word in {t.word for t in unique} | {probe}:
+        for asked in (word, word.upper()):
+            entries = [t for t in unique if t.word == asked.lower()]
+            found = lex.lookup(asked)
+            assert type(found) is set and found == {t.node for t in entries}
+            found.add(N.ACTION_POS)  # a new set each call: changing it changes no later answer
+            assert lex.lookup(asked) == {t.node for t in entries}
+            assert lex.tuples_for(asked) == tuple(sorted(entries, key=lambda t: (t.node.value, t.source.value)))
+    ordered = sorted(unique, key=lambda t: (t.word, t.node.value))
+    assert list(lex) == ordered
+    rows = [f"{t.word}\t{t.node.value}\t{t.source.value}\t{t.pos_class.value}\n" for t in ordered]
+    assert dumps_lexicon(lex) == "#mea-lexicon v1\n" + "".join(rows)
+    assert loads_lexicon(dumps_lexicon(lex)) == lex
 
 
 @st.composite

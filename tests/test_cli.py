@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -75,6 +76,19 @@ def test_missing_parses_directory_is_fatal(tmp_path, caplog):
     args[args.index("--parses") + 1] = str(tmp_path / "no-such-dir")
     assert main(args) == 1
     assert "no-such-dir:0: not a directory" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_file_naming_no_review_is_fatal_and_named(tmp_path):
+    parses = tmp_path / "parses"
+    shutil.copytree(DATA / "corpus" / "parses", parses)
+    orphan = (parses / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n")
+    (parses / "999.conllu").write_text(orphan, encoding="utf-8")
+    args = run_args(tmp_path / "out")
+    args[args.index("--parses") + 1] = str(parses)
+    result = run_cli_process(args)
+    assert result.returncode == 1
+    assert f"{parses}: parse files name no ingested or skipped review: 999.conllu" in result.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -171,14 +185,16 @@ def test_malformed_sample_and_report_inputs_name_the_file(tmp_path, caplog, name
     assert f"{path}{message}" in caplog.text
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def run_cli_process(args):
+    """``python -m mea.cli`` with args, in a fresh process whose path holds src/."""
     src = str(DATA.parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mea.cli", *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     missing = tmp_path / "missing.json"
-    result = subprocess.run(
-        [sys.executable, "-m", "mea.cli", "report", "--manifest", str(missing)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli_process(["report", "--manifest", str(missing)])
     assert result.returncode == 1
     assert str(missing) in result.stderr
 
@@ -191,11 +207,6 @@ def test_deeply_nested_manifest_names_the_file(tmp_path, caplog):
 
 
 def test_python_dash_m_logs_as_mea_cli(tmp_path):
-    src = str(DATA.parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "mea.cli", "report", "--manifest", str(tmp_path / "missing.json")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli_process(["report", "--manifest", str(tmp_path / "missing.json")])
     assert result.returncode == 1
     assert result.stderr.startswith("ERROR mea.cli: ")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mea.dag
+from mea.belief import load_lexicon
 from mea.llm import ClientConfig, LlmClient, load_template
 from mea.nature import default_graph, validate_graph
 from mea.runner import run_pipeline
@@ -26,6 +27,23 @@ def test_every_global_the_tracer_wraps_resolves(monkeypatch):
     assert len(wrapped) == 8
     for module, name in wrapped:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_the_tracer_can_count_and_restore_a_lexicons_lookups(monkeypatch):
+    """batch.py counts lookup and tuples_for by setting them on the lexicon instance."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    lexicon = load_lexicon(Path(__file__).parent / "data" / "lexicon.tsv")
+    tracer = spans.Tracer(enabled=True)
+    for name in ("lookup", "tuples_for"):
+        original = getattr(lexicon, name)
+        with spans.patched(lexicon, name, tracer.count("belief.lookup", original)):
+            assert getattr(lexicon, name)("Meatball") == original("meatball")
+        assert getattr(lexicon, name) == original
+        assert getattr(lexicon, name)("Meatball") == original("meatball")
+    assert tracer.counts() == {"belief.lookup": 2}
 
 
 def benchmark_calls(callee):

@@ -195,7 +195,7 @@ def test_unknown_parse_review_id_is_fatal(data_dir, tmp_path):
     reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv")
     parses = load_parse_dir(data_dir / "corpus" / "parses")
     parses["999"] = parses["1"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"parse files name no ingested or skipped review: 999\.conllu$"):
         run_pipeline(
             reviews,
             parses,
