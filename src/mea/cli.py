@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_client(args: argparse.Namespace) -> LlmClient:
     mode = ClientMode(args.classifier)
-    fixture = Path(args.replay_fixture) if getattr(args, "replay_fixture", None) else None
-    cache = Path(args.cache) if getattr(args, "cache", None) else None
+    fixture = Path(args.replay_fixture) if args.replay_fixture else None
+    cache = Path(args.cache) if args.cache else None
     config = ClientConfig.from_env(mode=mode, fixture_path=fixture, cache_path=cache)
     return LlmClient(config)
 

@@ -38,45 +38,17 @@ ActionClassifier = Callable[[str], "ActionClass | None"]
 
 
 @dataclass(frozen=True)
-class Justification:
-    kind: str                        # "belief" | "past_tense" | "action_class"
-    word: str | None = None
-    combo: str | None = None
-    flipped: bool = False
-    action_class: ActionClass | None = None
-
-    @classmethod
-    def from_perception(cls, link: PerceptionLink) -> "Justification":
-        return cls(kind="belief", word=link.word, combo=link.combo.value, flipped=link.flipped)
-
-    @classmethod
-    def past_tense(cls) -> "Justification":
-        return cls(kind="past_tense")
-
-    @classmethod
-    def classified(cls, action_class: ActionClass) -> "Justification":
-        return cls(kind="action_class", action_class=action_class)
-
-
-@dataclass(frozen=True)
-class EventNode:
-    id: str
-    text: str
-    pattern_id: str
-    negated: bool
-
-
-@dataclass(frozen=True)
 class DagLink:
     event_id: str
     node: NatureNodeId
-    justification: Justification
+    # What the link rests on: a belief hit, the past tense, or the classifier's verdict.
+    justification: PerceptionLink | Tense | ActionClass
 
 
 @dataclass
 class MeaDag:
     review_id: str
-    events: list[EventNode] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)  # event i has the id f"e{i}"
     activated: set[NatureNodeId] = field(default_factory=set)
     links: list[DagLink] = field(default_factory=list)
     nature_edges: list[NatureEdge] = field(default_factory=list)
@@ -89,15 +61,11 @@ def forward_transmit(seed: set[NatureNodeId], graph: NatureGraph) -> set[NatureN
     return set().union(*map(graph.closure.__getitem__, seed))
 
 
-def link_perceptions(
-    events: Sequence[tuple[str, Event]],
-    lexicon: BeliefLexicon,
-    dag: MeaDag,
-) -> MeaDag:
+def link_perceptions(dag: MeaDag, lexicon: BeliefLexicon) -> MeaDag:
     """Add one justified link per perception hit and activate the target node."""
-    for event_id, event in events:
+    for i, event in enumerate(dag.events):
         for link in detect_perception(event, lexicon):
-            dag.links.append(DagLink(event_id, link.node, Justification.from_perception(link)))
+            dag.links.append(DagLink(f"e{i}", link.node, link))
             dag.activated.add(link.node)
     return dag
 
@@ -107,22 +75,18 @@ def needs_classifier(event: Event) -> bool:
     return event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
 
 
-def link_actions(
-    events: Sequence[tuple[str, Event]],
-    dag: MeaDag,
-    classifier: ActionClassifier,
-) -> MeaDag:
+def link_actions(dag: MeaDag, classifier: ActionClassifier) -> MeaDag:
     """Attach first-person action events; run only after forward transmission.
 
     Past events activate past_experience. Other events are classified and
     linked to their subtype node only when transmission already activated it;
     otherwise they are recorded as unlinked.
     """
-    for event_id, event in events:
+    for i, event in enumerate(dag.events):
         if event.pattern_id == "STATE":
             continue
         if classify_tense(event) is Tense.PAST:
-            dag.links.append(DagLink(event_id, NatureNodeId.PAST_EXPERIENCE, Justification.past_tense()))
+            dag.links.append(DagLink(f"e{i}", NatureNodeId.PAST_EXPERIENCE, Tense.PAST))
             dag.activated.add(NatureNodeId.PAST_EXPERIENCE)
             continue
         action_class = classifier(event.text)
@@ -130,9 +94,9 @@ def link_actions(
             continue
         node = ACTION_SUBTYPE_NODE[action_class]
         if node in dag.activated:
-            dag.links.append(DagLink(event_id, node, Justification.classified(action_class)))
+            dag.links.append(DagLink(f"e{i}", node, action_class))
         else:
-            dag.unlinked_events.append(event_id)
+            dag.unlinked_events.append(f"e{i}")
     return dag
 
 
@@ -148,32 +112,18 @@ def prepare_mea_dag(
     sentences: Sequence[ParsedSentence],
     graph: NatureGraph,
     lexicon: BeliefLexicon,
-) -> tuple[MeaDag, list[tuple[str, Event]]]:
-    """The classifier-free half of a review: extract, perceive, transmit; returns the graph and its events by id."""
-    indexed: list[tuple[str, Event]] = []
-    for sentence in sentences:
-        for event in extract_events(sentence):
-            indexed.append((f"e{len(indexed)}", event))
-
-    dag = MeaDag(review_id=review_id)
-    dag.events = [
-        EventNode(event_id, event.text, event.pattern_id, event.negated)
-        for event_id, event in indexed
-    ]
-    if indexed:
-        link_perceptions(indexed, lexicon, dag)
-        dag.activated = forward_transmit(dag.activated, graph)
-    return dag, indexed
-
-
-def finish_mea_dag(
-    dag: MeaDag,
-    events: Sequence[tuple[str, Event]],
-    graph: NatureGraph,
-    classifier: ActionClassifier,
 ) -> MeaDag:
+    """The classifier-free half of a review: extract, perceive, transmit."""
+    dag = MeaDag(review_id, [event for sentence in sentences for event in extract_events(sentence)])
+    if dag.events:
+        link_perceptions(dag, lexicon)
+        dag.activated = forward_transmit(dag.activated, graph)
+    return dag
+
+
+def finish_mea_dag(dag: MeaDag, graph: NatureGraph, classifier: ActionClassifier) -> MeaDag:
     """The classifier half of a review: link actions, keep the edges among activated nodes, judge validity."""
-    link_actions(events, dag, classifier)
+    link_actions(dag, classifier)
     dag.nature_edges = [e for e in graph.ordered_edges if e.head in dag.activated and e.tail in dag.activated]
     dag.valid = is_valid(dag)
     return dag
@@ -187,8 +137,7 @@ def build_mea_dag(
     classifier: ActionClassifier,
 ) -> MeaDag:
     """Run the full per-review pipeline: extract, perceive, transmit, act."""
-    dag, events = prepare_mea_dag(review_id, sentences, graph, lexicon)
-    return finish_mea_dag(dag, events, graph, classifier)
+    return finish_mea_dag(prepare_mea_dag(review_id, sentences, graph, lexicon), graph, classifier)
 
 
 # --- serialization ---------------------------------------------------------
@@ -198,7 +147,7 @@ def build_mea_dag(
 # uses, node names and flags come from tables.
 _NODE_JSON = {n: _json_str(n.value) for n in NatureNodeId}
 _JSON_BOOL = {False: "false", True: "true"}
-_EVENT_JSON = '{\n      "id": %s,\n      "text": %s,\n      "pattern_id": %s,\n      "negated": %s\n    }'
+_EVENT_JSON = '{\n      "id": "e%d",\n      "text": %s,\n      "pattern_id": %s,\n      "negated": %s\n    }'
 _LINK_JSON = '{\n      "event_id": %s,\n      "node": %s,\n      "justification": {\n        %s\n      }\n    }'
 _EDGE_JSON = '{\n      "head": %s,\n      "tail": %s,\n      "transmits": %s\n    }'
 
@@ -207,21 +156,19 @@ def _json_list(items: list[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
-def _justification_json(j: Justification) -> str:
-    if j.kind == "belief":
+def _justification_json(j: PerceptionLink | Tense | ActionClass) -> str:
+    if isinstance(j, PerceptionLink):
         return (f'"type": "belief",\n        "word": {_json_str(j.word)},\n        '
-                f'"combo": {_json_str(j.combo)},\n        "flipped": {_JSON_BOOL[j.flipped]}')
-    if j.kind == "past_tense":
+                f'"combo": {_json_str(j.combo.value)},\n        "flipped": {_JSON_BOOL[j.flipped]}')
+    if j is Tense.PAST:
         return '"type": "past_tense"'
-    if j.kind == "action_class":
-        return f'"type": "action_class",\n        "class": {_json_str(j.action_class.value)}'
-    raise ValueError(f"unknown justification kind {j.kind!r}")
+    return f'"type": "action_class",\n        "class": {_json_str(j.value)}'
 
 
 def dumps_dag(dag: MeaDag) -> str:
     """The graph as 2-space-indented, ASCII-escaped JSON, keys in a fixed order, and a final newline."""
-    events = [_EVENT_JSON % (_json_str(e.id), _json_str(e.text), _json_str(e.pattern_id), _JSON_BOOL[e.negated])
-              for e in dag.events]
+    events = [_EVENT_JSON % (i, _json_str(e.text), _json_str(e.pattern_id), _JSON_BOOL[e.negated])
+              for i, e in enumerate(dag.events)]
     links = [_LINK_JSON % (_json_str(l.event_id), _NODE_JSON[l.node], _justification_json(l.justification))
              for l in dag.links]
     edges = [_EDGE_JSON % (_NODE_JSON[e.head], _NODE_JSON[e.tail], _JSON_BOOL[e.transmits]) for e in dag.nature_edges]
@@ -240,12 +187,10 @@ def _dot_escape(text: str) -> str:
 
 def _link_label(link: DagLink) -> str:
     j = link.justification
-    if j.kind == "belief":
+    if isinstance(j, PerceptionLink):
         suffix = ", flipped" if j.flipped else ""
         return f'("{j.word}", {link.node.value}{suffix})'
-    if j.kind == "past_tense":
-        return "past"
-    return j.action_class.value
+    return "past" if j is Tense.PAST else j.value
 
 
 def to_dot(dag: MeaDag) -> str:
@@ -254,9 +199,9 @@ def to_dot(dag: MeaDag) -> str:
     for node in sorted(dag.activated, key=NODE_ORDER.get):
         lines.append(f'  "{node.value}" [color=red];')
     linked = {l.event_id for l in dag.links}
-    for event in dag.events:
-        if event.id in linked:
-            lines.append(f'  "{event.id}" [label="{_dot_escape(event.text)}", shape=box, color=green];')
+    for i, event in enumerate(dag.events):
+        if f"e{i}" in linked:
+            lines.append(f'  "e{i}" [label="{_dot_escape(event.text)}", shape=box, color=green];')
     for link in dag.links:
         label = _dot_escape(_link_label(link))
         lines.append(f'  "{link.event_id}" -> "{link.node.value}" [label="{label}"];')

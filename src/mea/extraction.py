@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -66,7 +67,7 @@ class Event:
         if self.pattern_id != "STATE" and self.subject_lemma not in FIRST_PERSON_LEMMAS:
             raise ValueError("action events require a first-person subject")
 
-    @property
+    @cached_property
     def text(self) -> str:
         return " ".join(self.sentence.token(i).surface for i in self.token_indices)
 

@@ -18,7 +18,7 @@ from . import InputFileError, read_text
 from .belief import BeliefLexicon
 # build_mea_dag is no longer called here but stays importable: perfbench/batch.py traces it by name.
 from .dag import ActionClass, MeaDag, build_mea_dag, dumps_dag, finish_mea_dag, needs_classifier, prepare_mea_dag, to_dot  # noqa: F401
-from .extraction import ACTION_PATTERNS, ConlluError, Event, ParsedSentence, parse_conllu
+from .extraction import ACTION_PATTERNS, ConlluError, ParsedSentence, parse_conllu
 from .llm import LlmClient, LlmParseError
 from .nature import NatureGraph, NatureNodeId
 
@@ -71,7 +71,6 @@ class CorpusStats:
 class _Prepared(NamedTuple):  # a review built up to its classifier calls
     record: ReviewRecord
     dag: MeaDag
-    events: list[tuple[str, Event]]
     texts: list[str]  # what its action events ask the classifier, in event order
 
 
@@ -237,7 +236,7 @@ def run_pipeline(
 
         review_id = review.record.review_id
         try:
-            dag = finish_mea_dag(review.dag, review.events, graph, classify)
+            dag = finish_mea_dag(review.dag, graph, classify)
             if dag.events:
                 (out_dir / f"{review_id}.json").write_text(dumps_dag(dag), encoding="utf-8")
                 if write_dot:
@@ -268,8 +267,8 @@ def run_pipeline(
 
     for position, record in enumerate(work):
         try:
-            dag, events = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
-            review = _Prepared(record, dag, events, [event.text for _, event in events if needs_classifier(event)])
+            dag = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
+            review = _Prepared(record, dag, [event.text for event in dag.events if needs_classifier(event)])
             answers = client.classify_action_events(review.texts)
         except Exception as exc:  # quarantined per review
             errors[position] = exc

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from mea.belief import load_lexicon
+from mea.dag import ActionClass
+from mea.extraction import PerceptionLink, Tense
 from mea.llm import ClientConfig, ClientMode, LlmClient
 from mea.nature import NODE_ORDER, default_graph
 
@@ -54,21 +56,21 @@ def sentence(rows):
 # mea.dag.dumps_dag writes these bytes directly; tests compare it with this.
 
 def _justification_to_json(j) -> dict:
-    if j.kind == "belief":
-        return {"type": "belief", "word": j.word, "combo": j.combo, "flipped": j.flipped}
-    if j.kind == "past_tense":
+    if isinstance(j, PerceptionLink):
+        return {"type": "belief", "word": j.word, "combo": j.combo.value, "flipped": j.flipped}
+    if j is Tense.PAST:
         return {"type": "past_tense"}
-    if j.kind == "action_class":
-        return {"type": "action_class", "class": j.action_class.value}
-    raise ValueError(f"unknown justification kind {j.kind!r}")
+    if isinstance(j, ActionClass):
+        return {"type": "action_class", "class": j.value}
+    raise ValueError(f"no justification: {j!r}")
 
 
 def to_json(dag) -> dict:
     return {
         "review_id": dag.review_id,
         "events": [
-            {"id": e.id, "text": e.text, "pattern_id": e.pattern_id, "negated": e.negated}
-            for e in dag.events
+            {"id": f"e{i}", "text": e.text, "pattern_id": e.pattern_id, "negated": e.negated}
+            for i, e in enumerate(dag.events)
         ],
         "activated": [n.value for n in sorted(dag.activated, key=NODE_ORDER.get)],
         "links": [

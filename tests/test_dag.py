@@ -9,8 +9,6 @@ from mea.belief import BeliefLexicon
 from mea.dag import (
     ActionClass,
     DagLink,
-    EventNode,
-    Justification,
     MeaDag,
     build_mea_dag,
     dumps_dag,
@@ -23,7 +21,7 @@ from mea.dag import (
     prepare_mea_dag,
     to_dot,
 )
-from mea.extraction import extract_events, parse_conllu
+from mea.extraction import ACTION_PATTERNS, Combo, Event, PerceptionLink, Tense, extract_events, parse_conllu
 from mea.nature import NatureEdge, NatureNodeId, default_graph
 
 N = NatureNodeId
@@ -80,19 +78,17 @@ def meatball_sentence():
 
 
 def test_link_perceptions_activates_nodes(graph, lexicon):
-    events = [(f"e{i}", e) for i, e in enumerate(extract_events(meatball_sentence()))]
-    dag = MeaDag(review_id="m")
-    link_perceptions(events, lexicon, dag)
+    dag = MeaDag(review_id="m", events=extract_events(meatball_sentence()))
+    link_perceptions(dag, lexicon)
     assert {N.FOOD, N.EXPERIENCE_FEELING_POS} <= dag.activated
     assert len(dag.links) == 2
-    assert all(l.justification.kind == "belief" for l in dag.links)
+    assert all(isinstance(l.justification, PerceptionLink) for l in dag.links)
 
 
 def test_link_perceptions_no_hits_leaves_dag_unchanged(graph, lexicon):
     s = sentence([("I", "i", "PRP", 2, "nsubj"), ("freeze", "freeze", "VBP", 0, "root")])
-    events = [(f"e{i}", e) for i, e in enumerate(extract_events(s))]
-    dag = MeaDag(review_id="t")
-    link_perceptions(events, lexicon, dag)
+    dag = MeaDag(review_id="t", events=extract_events(s))
+    link_perceptions(dag, lexicon)
     assert dag.activated == set() and dag.links == []
 
 
@@ -111,12 +107,8 @@ def test_same_node_from_two_events_keeps_both_links(graph, lexicon):
             ("happy", "happy", "JJ", 0, "root"),
         ]
     )
-    events = []
-    for s in (s1, s2):
-        for e in extract_events(s):
-            events.append((f"e{len(events)}", e))
-    dag = MeaDag(review_id="t")
-    link_perceptions(events, lexicon, dag)
+    dag = MeaDag(review_id="t", events=extract_events(s1) + extract_events(s2))
+    link_perceptions(dag, lexicon)
     assert dag.activated == {N.EMO_POS}
     assert len(dag.links) == 2
 
@@ -130,11 +122,10 @@ def test_link_actions_past_event(graph):
             ("brand", "brand", "NN", 2, "dobj"),
         ]
     )
-    events = [("e0", match_only_pattern(s))]
-    dag = MeaDag(review_id="t")
-    link_actions(events, dag, lambda text: pytest.fail("classifier must not run for past events"))
+    dag = MeaDag(review_id="t", events=[match_only_pattern(s)])
+    link_actions(dag, lambda text: pytest.fail("classifier must not run for past events"))
     assert dag.activated == {N.PAST_EXPERIENCE}
-    assert dag.links[0].justification.kind == "past_tense"
+    assert dag.links[0].justification is Tense.PAST
 
 
 def match_only_pattern(s):
@@ -152,27 +143,27 @@ def want_to_cook_events():
             ("cook", "cook", "VB", 2, "xcomp"),
         ]
     )
-    return [("e0", match_only_pattern(s))]
+    return [match_only_pattern(s)]
 
 
 def test_link_actions_gated_when_subtype_active():
-    dag = MeaDag(review_id="t", activated={N.PHYSICAL_ACTION})
-    link_actions(want_to_cook_events(), dag, lambda text: ActionClass.PHYSICAL)
+    dag = MeaDag(review_id="t", events=want_to_cook_events(), activated={N.PHYSICAL_ACTION})
+    link_actions(dag, lambda text: ActionClass.PHYSICAL)
     assert dag.links[0].node is N.PHYSICAL_ACTION
-    assert dag.links[0].justification.action_class is ActionClass.PHYSICAL
+    assert dag.links[0].justification is ActionClass.PHYSICAL
     assert dag.unlinked_events == []
 
 
 def test_link_actions_unlinked_when_subtype_inactive():
-    dag = MeaDag(review_id="t")
-    link_actions(want_to_cook_events(), dag, lambda text: ActionClass.PHYSICAL)
+    dag = MeaDag(review_id="t", events=want_to_cook_events())
+    link_actions(dag, lambda text: ActionClass.PHYSICAL)
     assert dag.links == []
     assert dag.unlinked_events == ["e0"]
 
 
 def test_link_actions_skips_none_classification():
-    dag = MeaDag(review_id="t", activated={N.PHYSICAL_ACTION})
-    link_actions(want_to_cook_events(), dag, lambda text: None)
+    dag = MeaDag(review_id="t", events=want_to_cook_events(), activated={N.PHYSICAL_ACTION})
+    link_actions(dag, lambda text: None)
     assert dag.links == [] and dag.unlinked_events == []
 
 
@@ -199,7 +190,7 @@ def test_build_meatball_review(data_dir, graph, lexicon, replay_client):
     dag = build_mea_dag("1", sentences, graph, lexicon, replay_client.classify_action_event)
     assert dag.valid
     assert N.NEED_FOOD_POS in dag.activated
-    belief_links = [l for l in dag.links if l.justification.kind == "belief"]
+    belief_links = [l for l in dag.links if isinstance(l.justification, PerceptionLink)]
     assert ("meatball", N.FOOD) in {(l.justification.word, l.node) for l in belief_links}
 
 
@@ -229,7 +220,9 @@ def test_built_dags_are_acyclic_and_justified(data_dir, graph, lexicon):
         # activation support: every activated node is perceived or reachable
         seeds = {l.node for l in dag.links}
         assert dag.activated == forward_transmit(seeds & dag.activated, graph)
-        assert all(l.justification.kind for l in dag.links)
+        assert all(
+            l.justification is Tense.PAST or isinstance(l.justification, (PerceptionLink, ActionClass)) for l in dag.links
+        )
         assert _union_is_acyclic(dag)
 
 
@@ -270,14 +263,26 @@ json_text = st.text(
     max_size=12,
 )
 justifications = st.one_of(
-    st.builds(Justification, kind=st.just("belief"), word=json_text, combo=json_text, flipped=st.booleans()),
-    st.builds(Justification.past_tense),
-    st.builds(Justification.classified, st.sampled_from(ActionClass)),
+    st.builds(PerceptionLink, json_text, st.sampled_from(ALL_NODES), st.sampled_from(Combo), st.booleans()),
+    st.just(Tense.PAST),
+    st.sampled_from(ActionClass),
 )
+
+
+@st.composite
+def random_events(draw):
+    """An event over a one-sentence parse whose surfaces are escaper-stressing text."""
+    surfaces = draw(st.lists(json_text, min_size=1, max_size=4))
+    s = sentence([(surface, "i", "PRP", 0, "root") for surface in surfaces])
+    span = draw(st.sets(st.integers(1, len(surfaces)), min_size=1))
+    pattern_id = draw(st.sampled_from(["STATE"] + [p.pattern_id for p in ACTION_PATTERNS]))
+    return Event(s, tuple(sorted(span)), pattern_id, draw(st.sampled_from(sorted(span))), "i", draw(st.booleans()))
+
+
 random_dags = st.builds(
     MeaDag,
     review_id=json_text,
-    events=st.lists(st.builds(EventNode, json_text, json_text, json_text, st.booleans()), max_size=4),
+    events=st.lists(random_events(), max_size=4),
     activated=st.sets(st.sampled_from(ALL_NODES)),
     links=st.lists(st.builds(DagLink, json_text, st.sampled_from(ALL_NODES), justifications), max_size=4),
     nature_edges=st.lists(
@@ -295,6 +300,7 @@ random_dags = st.builds(
 @given(random_dags)
 def test_dumps_dag_writes_the_reference_bytes(dag):
     assert dumps_dag(dag) == reference_dumps_dag(dag)
+    assert all(event.text is event.text for event in dag.events)  # built once, then shared
 
 
 def test_dot_output_colors(data_dir, graph, lexicon, replay_client):
@@ -306,19 +312,28 @@ def test_dot_output_colors(data_dir, graph, lexicon, replay_client):
     assert "meatball" in dot  # quotes inside labels are escaped as \"
 
 
+@pytest.mark.parametrize("review_id", ["9", "20"])
+def test_dot_output_is_pinned(data_dir, graph, lexicon, replay_client, review_id):
+    """Between them: belief, flipped belief, past and action-class links, and a dashed edge."""
+    sentences = parse_conllu(data_dir / "corpus" / "parses" / f"{review_id}.conllu")
+    dag = build_mea_dag(review_id, sentences, graph, lexicon, replay_client.classify_action_event)
+    assert to_dot(dag) == (data_dir / "corpus" / "dot" / f"{review_id}.dot").read_text(encoding="utf-8")
+
+
 def test_link_actions_asks_the_classifier_about_exactly_the_needs_classifier_events(data_dir, graph, lexicon):
     for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
-        dag, events = prepare_mea_dag(path.stem, parse_conllu(path), graph, lexicon)
+        dag = prepare_mea_dag(path.stem, parse_conllu(path), graph, lexicon)
         asked = []
-        finish_mea_dag(dag, events, graph, lambda text: asked.append(text))
-        assert asked == [event.text for _, event in events if needs_classifier(event)]
-        assert all(event.pattern_id != "STATE" for _, event in events if needs_classifier(event))
+        finish_mea_dag(dag, graph, lambda text: asked.append(text))
+        assert asked == [event.text for event in dag.events if needs_classifier(event)]
+        assert all(event.pattern_id != "STATE" for event in dag.events if needs_classifier(event))
+        assert all(event.text is event.text for event in dag.events)
 
 
 def test_prepare_then_finish_equals_build(data_dir, graph, lexicon):
     client = make_replay_client()
     for path in sorted((data_dir / "corpus" / "parses").glob("*.conllu")):
         sentences = parse_conllu(path)
-        dag, events = prepare_mea_dag(path.stem, sentences, graph, lexicon)
-        finished = finish_mea_dag(dag, events, graph, client.classify_action_event)
+        dag = prepare_mea_dag(path.stem, sentences, graph, lexicon)
+        finished = finish_mea_dag(dag, graph, client.classify_action_event)
         assert dumps_dag(finished) == dumps_dag(build_mea_dag(path.stem, sentences, graph, lexicon, client.classify_action_event))
