@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .belief import BeliefLexicon
 from .extraction import (
@@ -13,7 +13,6 @@ from .extraction import (
     ParsedSentence,
     PerceptionLink,
     Tense,
-    classify_tense,
     detect_perception,
     extract_events,
 )
@@ -37,8 +36,7 @@ ACTION_SUBTYPE_NODE: dict[ActionClass, NatureNodeId] = {
 ActionClassifier = Callable[[str], "ActionClass | None"]
 
 
-@dataclass(frozen=True)
-class DagLink:
+class DagLink(NamedTuple):
     event_id: str
     node: NatureNodeId
     # What the link rests on: a belief hit, the past tense, or the classifier's verdict.
@@ -72,7 +70,7 @@ def link_perceptions(dag: MeaDag, lexicon: BeliefLexicon) -> MeaDag:
 
 def needs_classifier(event: Event) -> bool:
     """Whether link_actions asks its classifier about this event: not STATE, not past tense."""
-    return event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
+    return event.tense is Tense.OTHER
 
 
 def link_actions(dag: MeaDag, classifier: ActionClassifier) -> MeaDag:
@@ -83,20 +81,18 @@ def link_actions(dag: MeaDag, classifier: ActionClassifier) -> MeaDag:
     otherwise they are recorded as unlinked.
     """
     for i, event in enumerate(dag.events):
-        if event.pattern_id == "STATE":
-            continue
-        if classify_tense(event) is Tense.PAST:
+        if event.tense is Tense.PAST:
             dag.links.append(DagLink(f"e{i}", NatureNodeId.PAST_EXPERIENCE, Tense.PAST))
             dag.activated.add(NatureNodeId.PAST_EXPERIENCE)
-            continue
-        action_class = classifier(event.text)
-        if action_class is None:
-            continue
-        node = ACTION_SUBTYPE_NODE[action_class]
-        if node in dag.activated:
-            dag.links.append(DagLink(f"e{i}", node, action_class))
-        else:
-            dag.unlinked_events.append(f"e{i}")
+        elif needs_classifier(event):
+            action_class = classifier(event.text)
+            if action_class is None:
+                continue
+            node = ACTION_SUBTYPE_NODE[action_class]
+            if node in dag.activated:
+                dag.links.append(DagLink(f"e{i}", node, action_class))
+            else:
+                dag.unlinked_events.append(f"e{i}")
     return dag
 
 

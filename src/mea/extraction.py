@@ -9,12 +9,12 @@ combinations are decided here.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, NamedTuple
 
 from . import InputFileError, read_text, split_fields
 from .belief import BeliefLexicon, PosClass
@@ -24,13 +24,14 @@ FIRST_PERSON_LEMMAS = frozenset({"i", "we"})
 
 _FEELING_NODES = frozenset({NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG})
 _EMOTION_NODES = frozenset({NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG})
+_FLIPPABLE_NODES = _FEELING_NODES | _EMOTION_NODES
 
 
 class ConlluError(InputFileError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     index: int          # 1-based position
     surface: str
@@ -39,20 +40,37 @@ class Token:
     head: int           # 0 = root
     deprel: str
 
+    def __init__(self, index: int, surface: str, lemma: str, pos_tag: str, head: int, deprel: str):
+        # Each slot through its own setter: a frozen dataclass's generated __init__
+        # calls object.__setattr__ by name per field, at about 1.7 times the cost.
+        for set_slot, value in zip(_TOKEN_SLOTS, (index, surface, lemma, pos_tag, head, deprel)):
+            set_slot(self, value)
 
-@dataclass(frozen=True)
+
+_TOKEN_SLOTS = tuple(getattr(Token, name).__set__ for name in Token.__slots__)
+
+
+@dataclass(frozen=True, slots=True)
 class ParsedSentence:
     tokens: tuple[Token, ...]
+    # Derived once, when the sentence is built, and shared by every extractor:
+    children: dict[int, list[Token]] = field(init=False, repr=False, compare=False)  # head index -> dependents, in order
+    negators: tuple[int, ...] = field(init=False, repr=False, compare=False)  # indices of "not" and "n't" tokens
+
+    def __post_init__(self) -> None:
+        children: dict[int, list[Token]] = {}
+        for tok in self.tokens:
+            children.setdefault(tok.head, []).append(tok)
+        object.__setattr__(self, "children", children)
+        negators = [t.index for t in self.tokens if t.lemma == "not" or t.surface.lower() == "n't"]
+        object.__setattr__(self, "negators", tuple(negators))
 
     @property
     def root(self) -> Token:
-        return next(t for t in self.tokens if t.head == 0)
-
-    def token(self, index: int) -> Token:
-        return self.tokens[index - 1]
+        return self.children[0][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     sentence: ParsedSentence
     token_indices: tuple[int, ...]   # sorted
@@ -60,19 +78,18 @@ class Event:
     verb_index: int
     subject_lemma: str | None
     negated: bool
+    # Derived once, when the event is built:
+    text: str = field(init=False, compare=False)             # the span's surfaces, space-separated
+    tense: Tense | None = field(init=False, compare=False)   # None for STATE: only action events have one
 
     def __post_init__(self) -> None:
         if self.verb_index not in self.token_indices:
             raise ValueError("verb index not part of the event span")
         if self.pattern_id != "STATE" and self.subject_lemma not in FIRST_PERSON_LEMMAS:
             raise ValueError("action events require a first-person subject")
-
-    @cached_property
-    def text(self) -> str:
-        return " ".join(self.sentence.token(i).surface for i in self.token_indices)
-
-    def tokens(self) -> tuple[Token, ...]:
-        return tuple(self.sentence.token(i) for i in self.token_indices)
+        tokens = self.sentence.tokens
+        object.__setattr__(self, "text", " ".join([tokens[i - 1].surface for i in self.token_indices]))
+        object.__setattr__(self, "tense", None if self.pattern_id == "STATE" else classify_tense(self))
 
 
 class Combo(str, Enum):
@@ -82,8 +99,7 @@ class Combo(str, Enum):
     EMOTIONAL_ACTION = "emotional_action"
 
 
-@dataclass(frozen=True)
-class PerceptionLink:
+class PerceptionLink(NamedTuple):
     word: str
     node: NatureNodeId
     combo: Combo
@@ -107,7 +123,10 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
     one place a parse is checked: IDs run from 1, heads are in range and not
     the token itself, XPOS is non-empty and each sentence has one root.
     """
-    path = Path(path)
+    path = os.fspath(path)  # kept a str: a Path per file is a measurable share of reading one
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name  # as Path.stem
     sentences: list[ParsedSentence] = []
     has_review_id = False
     rows: list[tuple[int, list[str]]] = []
@@ -117,7 +136,7 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         nonlocal has_review_id, rows
         if rows:
             if not has_review_id:
-                raise ConlluError(str(path), start_line, "sentence has no review_id comment")
+                raise ConlluError(path, start_line, "sentence has no review_id comment")
             tokens = []
             fault = None  # the first sentence-level fault, reported after any token's own fault
             roots = 0
@@ -126,13 +145,13 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
                     idx = int(fields[0])
                     head = int(fields[6])
                 except ValueError:
-                    raise ConlluError(str(path), line_no, "ID and HEAD must be integers") from None
+                    raise ConlluError(path, line_no, "ID and HEAD must be integers") from None
                 if idx < 1:
-                    raise ConlluError(str(path), line_no, f"token index must be >= 1, got {idx}")
+                    raise ConlluError(path, line_no, f"token index must be >= 1, got {idx}")
                 if head == idx:
-                    raise ConlluError(str(path), line_no, f"token {idx} heads itself")
+                    raise ConlluError(path, line_no, f"token {idx} heads itself")
                 if not fields[4]:
-                    raise ConlluError(str(path), line_no, f"token {idx} has an empty POS tag")
+                    raise ConlluError(path, line_no, f"token {idx} has an empty POS tag")
                 if fault is None:
                     if idx != pos:
                         fault = f"token indices not contiguous at position {pos}"
@@ -143,7 +162,7 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
             if fault is None and roots != 1:
                 fault = f"expected exactly one root token, found {roots}"
             if fault is not None:
-                raise ConlluError(str(path), start_line, fault)
+                raise ConlluError(path, start_line, fault)
             sentences.append(ParsedSentence(tuple(tokens)))
         has_review_id, rows = False, []
 
@@ -154,8 +173,8 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         if raw.startswith("#"):
             m = _REVIEW_ID_RE.match(raw)
             if m:
-                if m.group(1) != path.stem:
-                    raise ConlluError(str(path), line_no, f"review_id {m.group(1)!r} does not match the file name")
+                if m.group(1) != stem:
+                    raise ConlluError(path, line_no, f"review_id {m.group(1)!r} does not match the file name")
                 has_review_id = True
             continue
         fields = split_fields(raw, 10, path, line_no, ConlluError)
@@ -250,21 +269,24 @@ def _bindings(
     children: dict[int, list[Token]], pattern: ActionPattern, v1: Token, subj: Token
 ) -> list[dict[str, Token]]:
     results: list[dict[str, Token]] = []
-
-    def extend(binding: dict[str, Token], arcs: tuple[PatternArc, ...]) -> None:
-        if not arcs:
-            results.append(dict(binding))
-            return
-        arc, rest = arcs[0], arcs[1:]
-        used = {t.index for t in binding.values()}
-        for child in children.get(binding[arc.head_slot].index, ()):
-            if child.deprel == arc.deprel and child.index not in used and arc.dep_ok(child):
-                binding[arc.dep_slot] = child
-                extend(binding, rest)
-                del binding[arc.dep_slot]
-
-    extend({"v1": v1, "subj": subj}, pattern.arcs)
+    _extend(children, {"v1": v1, "subj": subj}, pattern.arcs, results)
     return results
+
+
+def _extend(
+    children: dict[int, list[Token]], binding: dict[str, Token], arcs: tuple[PatternArc, ...], results: list[dict[str, Token]]
+) -> None:
+    # A module function, not a closure over itself: such a closure is a reference cycle left to the collector.
+    if not arcs:
+        results.append(dict(binding))
+        return
+    arc, rest = arcs[0], arcs[1:]
+    used = {t.index for t in binding.values()}
+    for child in children.get(binding[arc.head_slot].index, ()):
+        if child.deprel == arc.deprel and child.index not in used and arc.dep_ok(child):
+            binding[arc.dep_slot] = child
+            _extend(children, binding, rest, results)
+            del binding[arc.dep_slot]
 
 
 def match_action_patterns(sentence: ParsedSentence) -> list[Event]:
@@ -274,41 +296,29 @@ def match_action_patterns(sentence: ParsedSentence) -> list[Event]:
     binding covering the most tokens wins, ties go to the lowest pattern
     number, then to the smallest token-index tuple.
     """
-    children: dict[int, list[Token]] = {}
-    for tok in sentence.tokens:
-        children.setdefault(tok.head, []).append(tok)
+    children = sentence.children
     events: list[Event] = []
     for v1 in sentence.tokens:
-        deps = children.get(v1.index, ())
+        deps = children.get(v1.index)
+        if not deps or not _is_verb(v1):
+            continue
         subjects = [c for c in deps if c.deprel == "nsubj" and c.lemma in FIRST_PERSON_LEMMAS]
-        if not subjects or not _is_verb(v1):
+        if not subjects:
             continue
         deprels = {c.deprel for c in deps}
         patterns = [(number, pattern) for number, pattern, needs in _PATTERN_NEEDS if needs <= deprels]
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        best_binding: tuple[str, dict[str, Token]] | None = None
+        best: tuple[tuple[int, int, tuple[int, ...]], str, dict[str, Token]] | None = None  # rank, pattern id, binding
         for subj in subjects:
             for number, pattern in patterns:
                 for binding in _bindings(children, pattern, v1, subj):
                     indices = tuple(sorted(t.index for t in binding.values()))
                     rank = (-len(indices), number, indices)
-                    if best is None or rank < best:
-                        best = rank
-                        best_binding = (pattern.pattern_id, binding)
-        if best_binding is None:
+                    if best is None or rank < best[0]:
+                        best = (rank, pattern.pattern_id, binding)
+        if best is None:
             continue
-        pattern_id, binding = best_binding
-        indices = tuple(sorted(t.index for t in binding.values()))
-        events.append(
-            Event(
-                sentence=sentence,
-                token_indices=indices,
-                pattern_id=pattern_id,
-                verb_index=v1.index,
-                subject_lemma=binding["subj"].lemma,
-                negated=_span_negated(sentence, indices),
-            )
-        )
+        (_, _, indices), pattern_id, binding = best
+        events.append(Event(sentence, indices, pattern_id, v1.index, binding["subj"].lemma, _span_negated(sentence, indices)))
     return events
 
 
@@ -320,41 +330,26 @@ def extract_state_event(sentence: ParsedSentence) -> Event | None:
     """
     root = sentence.root
     # The root's first dependent of each relation: a reversed scan lets the lowest index win.
-    first = {t.deprel: t for t in reversed(sentence.tokens) if t.head == root.index}
+    first = {t.deprel: t for t in reversed(sentence.children.get(root.index, ()))}
     if _is_verb(root):
         verb_index = root.index
     elif "cop" in first:
         verb_index = first["cop"].index
     else:
         return None
-    indices = tuple(t.index for t in sentence.tokens if t.deprel != "punct" or t.index == verb_index)
+    indices = tuple([t.index for t in sentence.tokens if t.deprel != "punct" or t.index == verb_index])
     subject_lemma = first["nsubj"].lemma if "nsubj" in first else None
-    return Event(
-        sentence=sentence,
-        token_indices=indices,
-        pattern_id="STATE",
-        verb_index=verb_index,
-        subject_lemma=subject_lemma,
-        negated=_span_negated(sentence, indices),
-    )
+    return Event(sentence, indices, "STATE", verb_index, subject_lemma, _span_negated(sentence, indices))
 
 
 def extract_events(sentence: ParsedSentence) -> list[Event]:
     """All events of a sentence: the STATE event first, then action events."""
-    events: list[Event] = []
     state = extract_state_event(sentence)
-    if state is not None:
-        events.append(state)
-    events.extend(match_action_patterns(sentence))
-    return events
+    return ([state] if state is not None else []) + match_action_patterns(sentence)
 
 
-def _span_negated(sentence: ParsedSentence, indices: Iterable[int]) -> bool:
-    for i in indices:
-        tok = sentence.token(i)
-        if tok.lemma == "not" or tok.surface.lower() == "n't":
-            return True
-    return False
+def _span_negated(sentence: ParsedSentence, indices: tuple[int, ...]) -> bool:
+    return bool(sentence.negators) and any(i in indices for i in sentence.negators)
 
 
 def detect_negation(event: Event) -> bool:
@@ -364,7 +359,7 @@ def detect_negation(event: Event) -> bool:
 
 def classify_tense(event: Event) -> Tense:
     """Past iff the event verb is tagged VBD or VBN."""
-    tag = event.sentence.token(event.verb_index).pos_tag
+    tag = event.sentence.tokens[event.verb_index - 1].pos_tag
     return Tense.PAST if tag in ("VBD", "VBN") else Tense.OTHER
 
 
@@ -376,48 +371,39 @@ def detect_perception(event: Event, lexicon: BeliefLexicon) -> list[PerceptionLi
     verb. Food words only link when combination 1 or 2 fires. Negation flips
     feeling/emotion nodes to their opposites.
     """
-    food_words: list[str] = []
+    food_words: list[tuple[str, NatureNodeId]] = []
     feeling_words: list[tuple[str, NatureNodeId]] = []
     emo_adj_words: list[tuple[str, NatureNodeId]] = []
-    # Repeats are left to emit(); a word has at most one node per polarity family.
-    for tok in event.tokens():
+    tokens = event.sentence.tokens
+    for tok in [tokens[i - 1] for i in event.token_indices]:
         for node in lexicon.lookup(tok.lemma):
             if node is NatureNodeId.FOOD:
-                food_words.append(tok.lemma)
+                food_words.append((tok.lemma, node))
             elif node in _FEELING_NODES:
                 feeling_words.append((tok.lemma, node))
             elif node in _EMOTION_NODES and tok.pos_tag.startswith("JJ"):
                 emo_adj_words.append((tok.lemma, node))
 
-    links: list[PerceptionLink] = []
-    emitted: set[tuple[str, NatureNodeId]] = set()
+    hits: list[tuple[str, NatureNodeId, Combo]] = []  # in emission order, repeats included
+    if food_words and feeling_words:
+        hits += [(word, node, Combo.FOOD_FEELING) for word, node in food_words + feeling_words]
+    if food_words and emo_adj_words:
+        hits += [(word, node, Combo.FOOD_EMOTION) for word, node in food_words + emo_adj_words]
+    if event.subject_lemma in FIRST_PERSON_LEMMAS:
+        hits += [(word, node, Combo.FIRSTPERSON_EMOTION) for word, node in emo_adj_words]
+    verb = tokens[event.verb_index - 1]
+    for entry in lexicon.tuples_for(verb.lemma):
+        if entry.node in _EMOTION_NODES and entry.pos_class is PosClass.VERB:
+            hits.append((verb.lemma, entry.node, Combo.EMOTIONAL_ACTION))
 
-    def emit(word: str, node: NatureNodeId, combo: Combo) -> None:
+    links: list[PerceptionLink] = []
+    emitted: set[tuple[str, NatureNodeId]] = set()  # a word has at most one node per polarity family
+    for word, node, combo in hits:
         if (word, node) in emitted:
-            return
+            continue
         emitted.add((word, node))
-        if event.negated and node in _FEELING_NODES | _EMOTION_NODES:
+        if event.negated and node in _FLIPPABLE_NODES:
             links.append(PerceptionLink(word, opposite_node(node), combo, flipped=True))
         else:
             links.append(PerceptionLink(word, node, combo))
-
-    if food_words and feeling_words:
-        for word in food_words:
-            emit(word, NatureNodeId.FOOD, Combo.FOOD_FEELING)
-        for word, node in feeling_words:
-            emit(word, node, Combo.FOOD_FEELING)
-    if food_words and emo_adj_words:
-        for word in food_words:
-            emit(word, NatureNodeId.FOOD, Combo.FOOD_EMOTION)
-        for word, node in emo_adj_words:
-            emit(word, node, Combo.FOOD_EMOTION)
-    if event.subject_lemma in FIRST_PERSON_LEMMAS and emo_adj_words:
-        for word, node in emo_adj_words:
-            emit(word, node, Combo.FIRSTPERSON_EMOTION)
-
-    verb = event.sentence.token(event.verb_index)
-    for entry in lexicon.tuples_for(verb.lemma):
-        if entry.node in _EMOTION_NODES and entry.pos_class is PosClass.VERB:
-            emit(verb.lemma, entry.node, Combo.EMOTIONAL_ACTION)
-
     return links

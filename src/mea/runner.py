@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import logging
+import os
 import random
 import re
 from collections import Counter
@@ -170,25 +171,40 @@ def load_parse_dir(
     parse_dir: str | Path,
     failures: list[tuple[str, str]] | None = None,
 ) -> dict[str, list[ParsedSentence]]:
-    """Parse every *.conllu file in a directory into {file stem: its sentences}.
+    """Parse every *.conllu entry in a directory, by name, into {file stem: its sentences}.
 
-    A file is one review's parse and its stem is the review id. A file that
-    fails to parse, e.g. with a `# review_id` other than its stem, quarantines
-    that review instead of aborting the batch; a file without sentences adds none.
+    A file is one review's parse and its stem is the review id. An entry that
+    fails to parse or to read, e.g. one with a `# review_id` other than its stem
+    or a directory, quarantines that review instead of aborting the batch; a
+    file without sentences adds none.
     """
     parse_dir = Path(parse_dir)
     if not parse_dir.is_dir():
         raise InputFileError(str(parse_dir), 0, "not a directory")
+    prefix = str(parse_dir / "_")[:-1]  # str(parse_dir / name) is prefix + name; no Path per file
     by_review: dict[str, list[ParsedSentence]] = {}
-    for file in sorted(parse_dir.glob("*.conllu")):
+    for name in sorted(name for name in os.listdir(parse_dir) if name.endswith(".conllu")):
+        stem = name[:-7] or name  # as Path.stem: a bare ".conllu" is all stem
         try:
-            sentences = parse_conllu(file)
-        except ConlluError as exc:
-            _skip(failures, file.stem, f"parse error: {exc}")
+            sentences = parse_conllu(prefix + name)
+        except (ConlluError, OSError) as exc:  # OSError: a directory, a dangling link, an unreadable file
+            error = exc if isinstance(exc, ConlluError) else ConlluError(prefix + name, 0, exc.strerror)
+            _skip(failures, stem, f"parse error: {error}")
             continue
         if sentences:
-            by_review[file.stem] = sentences
+            by_review[stem] = sentences
     return by_review
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text as UTF-8 with one open, write and close: no buffered or text I/O layer."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def run_pipeline(
@@ -216,6 +232,7 @@ def run_pipeline(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    out = str(out_dir / "_")[:-1]  # str(out_dir / name) is out + name
     work = [r for r in reviews if r.review_id in parses]
 
     stats = CorpusStats(total_reviews=len(reviews))
@@ -238,9 +255,9 @@ def run_pipeline(
         try:
             dag = finish_mea_dag(review.dag, graph, classify)
             if dag.events:
-                (out_dir / f"{review_id}.json").write_text(dumps_dag(dag), encoding="utf-8")
+                _write_file(f"{out}{review_id}.json", dumps_dag(dag))
                 if write_dot:
-                    (out_dir / f"{review_id}.dot").write_text(to_dot(dag), encoding="utf-8")
+                    _write_file(f"{out}{review_id}.dot", to_dot(dag))
         except Exception as exc:  # quarantined per review
             errors[position] = exc
             return
@@ -287,11 +304,11 @@ def run_pipeline(
     stats.classifier_calls, stats.classifier_cache_hits = client.stats()
 
     index_entries.sort(key=lambda e: e["review_id"])
-    (out_dir / "index.json").write_text(json.dumps(index_entries, indent=2) + "\n", encoding="utf-8")
-    (out_dir / "stats.json").write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
+    _write_file(f"{out}index.json", json.dumps(index_entries, indent=2) + "\n")
+    _write_file(f"{out}stats.json", json.dumps(asdict(stats), indent=2) + "\n")
     if failures:
         lines = [f"{_escape_controls(rid)}\t{_escape_controls(reason)}" for rid, reason in failures]
-        (out_dir / "failures.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_file(f"{out}failures.log", "\n".join(lines) + "\n")
     return stats
 
 

@@ -1,11 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from mea import read_text, split_fields
 from mea.belief import load_lexicon
 from mea.dag import ActionClass
-from mea.extraction import PerceptionLink, Tense
+from mea.extraction import ConlluError, PerceptionLink, Tense
 from mea.llm import ClientConfig, ClientMode, LlmClient
 from mea.nature import NODE_ORDER, default_graph
 
@@ -92,3 +94,71 @@ def to_json(dag) -> dict:
 
 def reference_dumps_dag(dag) -> str:
     return json.dumps(to_json(dag), indent=2) + "\n"
+
+
+# --- reference CoNLL-U reader ------------------------------------------------
+# The reader as it was before mea.extraction.parse_conllu was tuned: a Path per
+# file, the rows of a sentence gathered, then checked and built in order. It
+# returns each sentence as (index, surface, lemma, pos_tag, head, deprel) tuples.
+
+_REVIEW_ID_RE = re.compile(r"^#\s*review_id\s*=\s*(.+?)\s*$")
+
+
+def reference_parse_conllu(path) -> list[list[tuple]]:
+    path = Path(path)
+    sentences = []
+    has_review_id = False
+    rows: list[tuple[int, list[str]]] = []
+    start_line = 0
+
+    def flush() -> None:
+        nonlocal has_review_id, rows
+        if rows:
+            if not has_review_id:
+                raise ConlluError(str(path), start_line, "sentence has no review_id comment")
+            tokens = []
+            fault = None  # the first sentence-level fault, reported after any token's own fault
+            roots = 0
+            for pos, (line_no, fields) in enumerate(rows, start=1):
+                try:
+                    idx = int(fields[0])
+                    head = int(fields[6])
+                except ValueError:
+                    raise ConlluError(str(path), line_no, "ID and HEAD must be integers") from None
+                if idx < 1:
+                    raise ConlluError(str(path), line_no, f"token index must be >= 1, got {idx}")
+                if head == idx:
+                    raise ConlluError(str(path), line_no, f"token {idx} heads itself")
+                if not fields[4]:
+                    raise ConlluError(str(path), line_no, f"token {idx} has an empty POS tag")
+                if fault is None:
+                    if idx != pos:
+                        fault = f"token indices not contiguous at position {pos}"
+                    elif not 0 <= head <= len(rows):
+                        fault = f"token {idx} has dangling head {head}"
+                roots += head == 0
+                tokens.append((idx, fields[1], fields[2].lower(), fields[4], head, fields[7]))
+            if fault is None and roots != 1:
+                fault = f"expected exactly one root token, found {roots}"
+            if fault is not None:
+                raise ConlluError(str(path), start_line, fault)
+            sentences.append(tokens)
+        has_review_id, rows = False, []
+
+    for line_no, raw in enumerate(read_text(path, ConlluError).splitlines(), start=1):
+        if not raw.strip():
+            flush()
+            continue
+        if raw.startswith("#"):
+            m = _REVIEW_ID_RE.match(raw)
+            if m:
+                if m.group(1) != path.stem:
+                    raise ConlluError(str(path), line_no, f"review_id {m.group(1)!r} does not match the file name")
+                has_review_id = True
+            continue
+        fields = split_fields(raw, 10, path, line_no, ConlluError)
+        if not rows:
+            start_line = line_no
+        rows.append((line_no, fields))
+    flush()
+    return sentences

@@ -92,6 +92,25 @@ def test_parse_file_naming_no_review_is_fatal_and_named(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("entry, reason", [("directory", "Is a directory"), ("dangling link", "No such file or directory")])
+def test_an_unreadable_parse_entry_quarantines_only_its_review(tmp_path, entry, reason):
+    parses = tmp_path / "parses"
+    shutil.copytree(DATA / "corpus" / "parses", parses)
+    (parses / "5.conllu").unlink()
+    if entry == "directory":
+        (parses / "5.conllu").mkdir()
+    else:
+        (parses / "5.conllu").symlink_to(tmp_path / "nowhere.conllu")
+    out = tmp_path / "out"
+    args = run_args(out)
+    args[args.index("--parses") + 1] = str(parses)
+    assert main(args) == 2
+    graphs = sorted(int(p.stem) for p in out.glob("*.json") if p.stem not in ("index", "stats"))
+    assert graphs == [i for i in range(1, 21) if i != 5]
+    failures = (out / "failures.log").read_text(encoding="utf-8").splitlines()
+    assert failures == [f"5\tparse error: {parses / '5.conllu'}:0: {reason}"]
+
+
 def test_non_utf8_reviews_file_is_fatal_with_file_and_line(tmp_path, caplog):
     reviews = tmp_path / "reviews.csv"
     reviews.write_bytes("Id,Text\n1,caf\u00e9 au lait\n".encode("latin-1"))

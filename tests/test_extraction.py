@@ -1,17 +1,19 @@
+from dataclasses import astuple
 from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mea.extraction
-from conftest import sentence
+from conftest import reference_parse_conllu, sentence
 from mea.belief import BeliefLexicon, BeliefSource, BeliefTuple, PosClass
 from mea.extraction import (
     Combo,
     ConlluError,
     Event,
+    Token,
     Tense,
     classify_tense,
     detect_negation,
@@ -104,22 +106,66 @@ def test_parse_counts_sentences_in_file_order(data_dir):
 _CONLLU_PIECES = st.sampled_from(
     [
         b"# review_id = r\n",
+        b"# review_id = q\n",
         b"1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n",
         b"2\tgo\tgo\tVERB\tVBP\t_\t0\troot\t_\t_\n",
+        b"3\tit\tit\tPRON\tPRP\t_\t2\tdobj\t_\t_\n",
+        b"2\tx\tx\tX\tNN\t_\t9\tdep\t_\t_\n",  # a dangling head
+        b"1\tx\tx\tX\tNN\t_\t-1\tdep\t_\t_\n",  # a negative head
+        b"2\tx\tx\tX\tNN\t_\t2\tdep\t_\t_\n",  # heads itself
+        b"1\tx\tx\tX\t\t_\t0\troot\t_\t_\n",  # an empty POS tag
+        b"0\tx\tx\tX\tNN\t_\t1\tdep\t_\t_\n",  # index 0
+        b"a\tx\tx\tX\tNN\t_\t1\tdep\t_\t_\n",  # an ID that is no integer
+        b"1\tx\tx\tX\tNN\n",  # too few fields
         b"\n", b"\r", b"\t", b"#", b"_", b"0", b"1", b"2", b"-1", b"\xff", b"\xc3", b"\xe2\x80\xa8",
     ]
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(_CONLLU_PIECES, st.binary(max_size=8)), max_size=40).map(b"".join))
+@st.composite
+def _conllu_sentences(draw):
+    """One sentence whose indices, tags and heads each break a check now and then."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for pos in range(1, n + 1):
+        index = draw(st.sampled_from([pos, pos, pos, pos + 1, 0]))
+        tag = draw(st.sampled_from(["NN", "NN", ""]))
+        head = draw(st.integers(-1, n + 1))
+        rows.append(f"{index}\tw\tw\tX\t{tag}\t_\t{head}\tdep\t_\t_\n")
+    return ("# review_id = r\n" + "".join(rows) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.one_of(_CONLLU_PIECES, st.binary(max_size=8)), max_size=40),
+        st.lists(_conllu_sentences(), min_size=1, max_size=3),
+    ).map(b"".join)
+)
+@example(  # a dangling head (line 2) comes before an index gap (line 3): the dangling head is reported
+    b"# review_id = r\n1\tI\ti\tPRON\tPRP\t_\t9\tnsubj\t_\t_\n3\tgo\tgo\tVERB\tVBP\t_\t0\troot\t_\t_\n"
+)
+@example(  # a token's own fault (line 3) outranks an earlier sentence fault (line 2)
+    b"# review_id = r\n1\tI\ti\tPRON\tPRP\t_\t9\tnsubj\t_\t_\n2\tx\tx\tX\t\t_\t0\troot\t_\t_\n"
+)
+@example(  # a short row later in the sentence (line 3) outranks a token's own fault (line 2)
+    b"# review_id = r\n1\tI\ti\tPRON\t\t_\t0\troot\t_\t_\n2\tx\tx\n"
+)
 def test_parse_raises_only_conllu_error_on_arbitrary_bytes(tmp_path_factory, data):
-    path = tmp_path_factory.getbasetemp() / "arbitrary.conllu"
+    """Whatever the bytes, parse_conllu agrees with the reference reader: the same ConlluError text, or equal tokens."""
+    path = tmp_path_factory.getbasetemp() / "r.conllu"
     path.write_bytes(data)
     try:
-        parse_conllu(path)
-    except ConlluError:
-        pass
+        expected = reference_parse_conllu(path)
+    except ConlluError as exc:
+        expected = exc
+    try:
+        actual = [[astuple(token) for token in s.tokens] for s in parse_conllu(path)]
+    except ConlluError as exc:
+        assert isinstance(expected, ConlluError), f"reference read {expected}, parse_conllu raised {exc}"
+        assert (str(exc), exc.line_no) == (str(expected), expected.line_no)
+    else:
+        assert actual == expected
 
 
 _I_FREEZE = "1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n"
@@ -155,6 +201,56 @@ def test_parse_rejects_a_review_id_other_than_the_file_name(tmp_path):
     with pytest.raises(ConlluError) as exc:
         parse_conllu(path)
     assert str(exc.value) == f"{path}:5: review_id '1' does not match the file name"
+
+
+# --- token, sentence and event types -------------------------------------------
+
+_I_ATE_IT = [("I", "i", "PRP", 2, "nsubj"), ("ate", "eat", "VBD", 0, "root"), ("n't", "not", "RB", 2, "neg"), ("it", "it", "PRP", 2, "dobj")]
+
+
+def test_a_token_is_an_immutable_hashable_value():
+    fields = {"index": 1, "surface": "I", "lemma": "i", "pos_tag": "PRP", "head": 2, "deprel": "nsubj"}
+    token = Token(**fields)
+    assert token == Token(1, "I", "i", "PRP", 2, "nsubj")
+    assert astuple(token) == tuple(fields.values())
+    assert token != Token(**fields | {"head": 0})
+    assert hash(token) == hash(Token(**fields))
+    assert len({token, Token(**fields)}) == 1
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(token, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(token, name)
+    assert not hasattr(token, "__dict__")  # slotted: one object per token
+
+
+def test_a_sentence_derives_its_root_dependents_and_negators_once():
+    s = sentence(_I_ATE_IT)
+    assert s == sentence(_I_ATE_IT) and hash(s) == hash(sentence(_I_ATE_IT))
+    assert s.root is s.tokens[1]
+    assert s.children == {2: [s.tokens[0], s.tokens[2], s.tokens[3]], 0: [s.tokens[1]]}
+    assert s.negators == (3,)
+    with pytest.raises(AttributeError):
+        s.tokens = ()
+
+
+def test_an_event_is_an_immutable_hashable_value_with_its_text_and_tense_built_once():
+    s = sentence(_I_ATE_IT)
+    fields = {"sentence": s, "token_indices": (1, 2, 4), "pattern_id": "P2", "verb_index": 2, "subject_lemma": "i", "negated": False}
+    event = Event(**fields)
+    assert event == Event(sentence(_I_ATE_IT), (1, 2, 4), "P2", 2, "i", False)
+    assert event != Event(**fields | {"negated": True})
+    assert hash(event) == hash(Event(**fields))
+    assert event.text == "I ate it" and event.text is event.text
+    assert event.tense is Tense.PAST
+    assert Event(**fields | {"pattern_id": "STATE", "subject_lemma": None}).tense is None  # STATE has no tense
+    for name in (*fields, "text", "tense"):
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+    with pytest.raises(ValueError, match="verb index not part of the event span"):
+        Event(**fields | {"verb_index": 3})
+    with pytest.raises(ValueError, match="action events require a first-person subject"):
+        Event(**fields | {"subject_lemma": "she"})
 
 
 # --- action patterns ---------------------------------------------------------

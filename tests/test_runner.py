@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mea.extraction
 import mea.runner
 from conftest import DATA, make_replay_client
 from mea import InputFileError
@@ -348,6 +349,45 @@ def test_non_utf8_parse_file_quarantines_only_its_review(data_dir, tmp_path):
     parses = load_parse_dir(tmp_path, failures)
     assert list(parses) == ["1"]
     assert failures == [("2", f"parse error: {tmp_path / '2.conllu'}:4: not valid UTF-8")]
+
+
+def test_the_parse_listing_selects_and_orders_as_glob_does(data_dir, tmp_path):
+    """Every name glob("*.conllu") matches, dot-files included and case-sensitive, sorted by name."""
+    parse_1 = (data_dir / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8")
+    for name in ["b.conllu", "B.conllu", ".c.conllu", "a b.conllu", "a.conllu", "x.CONLLU", "y.conllu.bak", "z.txt"]:
+        stem = name.split(".conllu")[0] if name.endswith(".conllu") else "other"
+        (tmp_path / name).write_text(parse_1.replace("# review_id = 1\n", f"# review_id = {stem}\n"), encoding="utf-8")
+    failures = []
+    assert list(load_parse_dir(tmp_path, failures)) == [p.stem for p in sorted(tmp_path.glob("*.conllu"))]
+    assert list(load_parse_dir(tmp_path, failures)) == [".c", "B", "a b", "a", "b"]  # by file name: " " sorts below "."
+    assert failures == []
+
+
+def test_a_rerun_replaces_longer_outputs_byte_for_byte(data_dir, tmp_path):
+    out = tmp_path / "out"
+    run_fixture_corpus(data_dir, out)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    for path in out.iterdir():
+        path.write_bytes(path.read_bytes() * 2 + b"stale")
+    run_fixture_corpus(data_dir, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_the_pipeline_decides_each_action_events_tense_once(data_dir, tmp_path, monkeypatch):
+    """classify_tense runs once per non-STATE event: needs_classifier and link_actions reuse its answer."""
+    decided = []
+    real_classify_tense = mea.extraction.classify_tense
+
+    def classify_tense(event):
+        decided.append(event.pattern_id)
+        return real_classify_tense(event)
+
+    monkeypatch.setattr(mea.extraction, "classify_tense", classify_tense)
+    stats, failures = run_fixture_corpus(data_dir, tmp_path / "out")
+    assert failures == []
+    action_events = sum(count for pattern_id, count in stats.pattern_counts.items() if pattern_id != "STATE")
+    assert len(decided) == action_events == 19
+    assert "STATE" not in decided
 
 
 # --- sampling ----------------------------------------------------------------
