@@ -8,7 +8,7 @@ rule-compiled candidates is a separate pass (see mea.llm).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import defaultdict
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -88,6 +88,7 @@ class BeliefTuple(NamedTuple("_BeliefFields", [("word", str), ("node", NatureNod
     """One immutable, hashable lexicon entry, validated when it is built."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: both validate
 
     def __new__(cls, word: str, node: NatureNodeId, source: BeliefSource, pos_class: PosClass) -> BeliefTuple:
         if node not in PERCEPTION_NODES:
@@ -151,29 +152,25 @@ class BeliefLexicon:
         return hash(self.tuples)
 
 
-@dataclass(frozen=True)
-class SenseRecord:
-    """One sense row of a polarity-scored sense inventory."""
+class SenseRecord(NamedTuple("_SenseFields", [("lemma", str), ("pos_class", PosClass), ("pos_score", float), ("neg_score", float), ("sense_id", str)])):
+    """One sense row of a polarity-scored sense inventory, validated when it is built."""
 
-    lemma: str
-    pos_class: PosClass
-    pos_score: float
-    neg_score: float
-    sense_id: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: both validate
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.pos_score <= 1.0 and 0.0 <= self.neg_score <= 1.0):
-            raise ValueError(f"scores out of range for {self.lemma!r}")
-        if self.pos_score + self.neg_score > 1.0:
-            raise ValueError(f"pos+neg exceeds 1.0 for {self.lemma!r}")
+    def __new__(cls, lemma: str, pos_class: PosClass, pos_score: float, neg_score: float, sense_id: str) -> SenseRecord:
+        if not (0.0 <= pos_score <= 1.0 and 0.0 <= neg_score <= 1.0):
+            raise ValueError(f"scores out of range for {lemma!r}")
+        if pos_score + neg_score > 1.0:
+            raise ValueError(f"pos+neg exceeds 1.0 for {lemma!r}")
+        return tuple.__new__(cls, (lemma, pos_class, pos_score, neg_score, sense_id))
 
 
-@dataclass(frozen=True)
-class EmotionBaseWord:
+class EmotionBaseWord(NamedTuple):
     word: str
     emotion_class: EmotionClass
     pos_class: PosClass
-    extensions: tuple[tuple[str, PosClass], ...] = field(default=())
+    extensions: tuple[tuple[str, PosClass], ...] = ()
 
 
 # Synset ids in the taxonomy dump follow the noun-synset shape name.n.NN,
@@ -189,36 +186,35 @@ def compile_food_lexicon(dump_path: str | Path, exclusions: Iterable[str] = ()) 
     synsets (the seeds included) become food tuples, minus the exclusion list.
     """
     dump_path = Path(dump_path)
-    children: dict[str, list[str]] = {}
-    lemmas: dict[str, list[str]] = {}
-    synsets: set[str] = set()
+    children: defaultdict[str, list[str]] = defaultdict(list)
+    lemmas: list[tuple[str, str]] = []  # (synset, lemma) membership pairs
+    synsets: set[str] = set()  # ids the regex matched: a two-field line whose first field is one passes every check
     for line_no, raw in enumerate(read_text(dump_path, LexiconFormatError).splitlines(), start=1):
-        if not raw.strip():
-            continue
-        first, second = split_fields(raw, 2, dump_path, line_no, LexiconFormatError)
-        if not _SYNSET_RE.match(first):
-            raise LexiconFormatError(str(dump_path), line_no, f"first field is not a noun synset id: {first!r}")
-        synsets.add(first)
-        if _SYNSET_RE.match(second):
-            children.setdefault(first, []).append(second)
+        fields = raw.split("\t")
+        if len(fields) != 2 or fields[0] not in synsets:
+            if not raw.strip():
+                continue
+            if len(fields) != 2:
+                split_fields(raw, 2, dump_path, line_no, LexiconFormatError)  # raises with its field count
+            if not _SYNSET_RE.match(fields[0]):
+                raise LexiconFormatError(str(dump_path), line_no, f"first field is not a noun synset id: {fields[0]!r}")
+            synsets.add(fields[0])
+        first, second = fields
+        if second in synsets or ".n." in second and _SYNSET_RE.match(second):  # no id matches without ".n."
+            children[first].append(second)
             synsets.add(second)
         else:
-            lemmas.setdefault(first, []).append(second)
+            lemmas.append((first, second))
 
-    cycle = find_cycle(sorted(synsets), lambda syn: children.get(syn, ()))
+    cycle = find_cycle(sorted(children), lambda syn: children.get(syn, ()))  # a synset without hyponyms is on no cycle
     if cycle:
         raise TaxonomyCycleError(cycle)
 
     excluded = {normalize_word(w) for w in exclusions}
-    seeds = [s for s, ls in lemmas.items() if any(normalize_word(l) == "food" for l in ls)]
-    out: set[BeliefTuple] = set()
-    for syn in reachable(seeds, lambda syn: children.get(syn, ())):
-        for lemma in lemmas.get(syn, ()):
-            word = normalize_word(lemma)
-            if not word or word in excluded:
-                continue
-            out.add(BeliefTuple(word, NatureNodeId.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN))
-    return out
+    seeds = {syn for syn, lemma in lemmas if "food" in lemma.lower() and normalize_word(lemma) == "food"}
+    reached = reachable(seeds, lambda syn: children.get(syn, ()))
+    words = {normalize_word(lemma) for syn, lemma in lemmas if syn in reached}
+    return {BeliefTuple(w, NatureNodeId.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN) for w in words - excluded if w}
 
 
 def compile_feeling_lexicon(

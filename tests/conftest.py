@@ -1,15 +1,24 @@
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from mea import read_text, split_fields
-from mea.belief import load_lexicon
+from mea.belief import (
+    BeliefSource,
+    BeliefTuple,
+    LexiconFormatError,
+    PosClass,
+    TaxonomyCycleError,
+    load_lexicon,
+    normalize_word,
+)
 from mea.dag import ActionClass
 from mea.extraction import ConlluError, PerceptionLink, Tense
 from mea.llm import ClientConfig, ClientMode, LlmClient
-from mea.nature import NODE_ORDER, default_graph
+from mea.nature import NODE_ORDER, NatureNodeId, default_graph, find_cycle, reachable
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,3 +171,77 @@ def reference_parse_conllu(path) -> list[list[tuple]]:
         rows.append((line_no, fields))
     flush()
     return sentences
+
+
+# --- reference lexicon dump readers ------------------------------------------
+# mea.belief.compile_food_lexicon and parse_sense_file as they were before they
+# were tuned: every line stripped and split through split_fields, every synset
+# id matched against the regex, the cycle walk started at every synset, and
+# each sense row built as a frozen dataclass checked in __post_init__.
+
+_REFERENCE_SYNSET_RE = re.compile(r"^\S+\.n\.\d+$")
+
+
+def reference_compile_food_lexicon(dump_path, exclusions=()) -> set[BeliefTuple]:
+    dump_path = Path(dump_path)
+    children: dict[str, list[str]] = {}
+    lemmas: dict[str, list[str]] = {}
+    synsets: set[str] = set()
+    for line_no, raw in enumerate(read_text(dump_path, LexiconFormatError).splitlines(), start=1):
+        if not raw.strip():
+            continue
+        first, second = split_fields(raw, 2, dump_path, line_no, LexiconFormatError)
+        if not _REFERENCE_SYNSET_RE.match(first):
+            raise LexiconFormatError(str(dump_path), line_no, f"first field is not a noun synset id: {first!r}")
+        synsets.add(first)
+        if _REFERENCE_SYNSET_RE.match(second):
+            children.setdefault(first, []).append(second)
+            synsets.add(second)
+        else:
+            lemmas.setdefault(first, []).append(second)
+
+    cycle = find_cycle(sorted(synsets), lambda syn: children.get(syn, ()))
+    if cycle:
+        raise TaxonomyCycleError(cycle)
+
+    excluded = {normalize_word(w) for w in exclusions}
+    seeds = [s for s, ls in lemmas.items() if any(normalize_word(l) == "food" for l in ls)]
+    out: set[BeliefTuple] = set()
+    for syn in reachable(seeds, lambda syn: children.get(syn, ())):
+        for lemma in lemmas.get(syn, ()):
+            word = normalize_word(lemma)
+            if not word or word in excluded:
+                continue
+            out.add(BeliefTuple(word, NatureNodeId.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN))
+    return out
+
+
+@dataclass(frozen=True)
+class ReferenceSense:
+    lemma: str
+    pos_class: PosClass
+    pos_score: float
+    neg_score: float
+    sense_id: str
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.pos_score <= 1.0 and 0.0 <= self.neg_score <= 1.0):
+            raise ValueError(f"scores out of range for {self.lemma!r}")
+        if self.pos_score + self.neg_score > 1.0:
+            raise ValueError(f"pos+neg exceeds 1.0 for {self.lemma!r}")
+
+
+def reference_parse_sense_file(path) -> list[ReferenceSense]:
+    path = Path(path)
+    records: list[ReferenceSense] = []
+    for line_no, raw in enumerate(read_text(path, LexiconFormatError).splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no, LexiconFormatError)
+        try:
+            records.append(
+                ReferenceSense(lemma, PosClass(pos_s), float(pos_score_s), float(neg_score_s), sense_id)
+            )
+        except ValueError as exc:
+            raise LexiconFormatError(str(path), line_no, str(exc)) from None
+    return records

@@ -1,7 +1,10 @@
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_compile_food_lexicon, reference_parse_sense_file
 from mea.belief import (
     BeliefLexicon,
     BeliefSource,
@@ -70,6 +73,10 @@ def test_tuple_is_immutable_and_hashable():
         t.word = "pizza"
     assert hash(t) == hash(food("meatball"))
     assert len({t, food("meatball"), food("pizza")}) == 2
+    with pytest.raises(ValueError, match="hyponym-sourced tuples must be food nouns"):
+        t._replace(node=N.EMO_POS)
+    with pytest.raises(ValueError, match="word must be non-empty"):
+        BeliefTuple._make(("Pizza", N.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN))
 
 
 def test_lookup_is_case_insensitive(lexicon):
@@ -147,6 +154,96 @@ def test_food_compile_reports_malformed_line(tmp_path):
     assert exc.value.line_no == 2
 
 
+def outcome(read, *args):
+    """What a reader returns, or the type, text, line and cycle of what it raises."""
+    try:
+        return read(*args)
+    except (LexiconFormatError, TaxonomyCycleError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "cycle", None)
+
+
+_SYNSETS = ["food.n.01", "food.n.02", "dish.n.01", "bread.n.03", "x.n.01", "stone.n.01"]
+_LEMMAS = ["food", "Food", " FOOD_", "food_stuff", "solid_food", "bread", "Bread_Roll", "a.n.b", "tea.n.", "v.n.01 ", "new.n.07", "", " "]
+_valid_hyponym_lines = st.one_of(
+    st.tuples(st.integers(0, len(_SYNSETS) - 2), st.integers(1, len(_SYNSETS) - 1))  # parent before child: acyclic
+    .filter(lambda ij: ij[0] < ij[1])
+    .map(lambda ij: f"{_SYNSETS[ij[0]]}\t{_SYNSETS[ij[1]]}"),
+    st.builds("{}\t{}".format, st.sampled_from(_SYNSETS), st.sampled_from(_LEMMAS)),
+    st.sampled_from(["food.n.01\tfood", "food.n.02\tFood"]),
+    st.sampled_from(["", " ", "\t", " \t ", "\t\t"]),  # blank lines, however many fields
+)
+_hostile_hyponym_lines = st.one_of(
+    st.builds("{}\t{}".format, st.sampled_from(_SYNSETS), st.sampled_from(_SYNSETS)),  # any edge: cycles
+    st.sampled_from(
+        [
+            "x.n.01\tx.n.01",  # a self-loop
+            "food.n.01", "a\tb\tc", "food.n.01\tfood\tx",  # 1 or 3 fields
+            "food\tfood.n.01", "Food.v.01\tfood", " food.n.01\tfood", "food.n.1x\tfood",  # not a synset id
+        ]
+    ),
+    st.text(alphabet="fod.n01\t _FX", max_size=12),
+)
+
+
+@st.composite
+def dump_lines(draw, valid, hostile, max_size):
+    """Well-formed rows with at most two hostile lines put among them, so that many dumps compile."""
+    lines = draw(st.lists(valid, max_size=max_size))
+    for line in draw(st.lists(hostile, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+@settings(max_examples=250, deadline=None)
+@given(dump_lines(_valid_hyponym_lines, _hostile_hyponym_lines, 14), st.lists(st.sampled_from(["bread", "food", "Solid_Food", "tea.n."]), max_size=2))
+@example(["food.n.01\tfood", "x.n.01\tx.n.01", "food.n.01\tdish.n.01", "dish.n.01\tfood.n.01"], [])
+@example(["food.n.01\tFOOD_", "food.n.01\tdish.n.01", "dish.n.01\ta.n.b", " \t ", "dish.n.01\tdish"], ["dish"])
+def test_food_compile_agrees_with_the_reference_reader(tmp_path_factory, lines, exclusions):
+    """The same tuples, or the same error type, text, line and cycle, as the reader before tuning."""
+    dump = tmp_path_factory.getbasetemp() / "hyponyms.tsv"
+    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert outcome(compile_food_lexicon, dump, exclusions) == outcome(reference_compile_food_lexicon, dump, exclusions)
+
+
+_SCORES = ["0", "0.25", " 0.5", "0.625", "1.0"]
+_BAD_SCORES = ["1.5", "-0.1", "nan", "NaN", "inf", "x", ""]
+_sense_rows = st.tuples(
+    st.sampled_from(["good", "Bad_Taste", "x.n.01", ""]),
+    st.sampled_from(["adjective", "noun", "verb"]),
+    st.integers(0, 8).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, 8 - p))),  # eighths, pos + neg <= 1
+    st.sampled_from(["good.a.01", ""]),
+).map(lambda r: f"{r[0]}\t{r[1]}\t{r[2][0] / 8}\t {r[2][1] / 8:g}\t{r[3]}")
+_hostile_sense_lines = st.one_of(
+    st.builds(
+        "good\t{}\t{}\t{}\tg".format,
+        st.sampled_from(["adjective", "adjective", "adjective", "adj"]),
+        st.sampled_from(_SCORES + _BAD_SCORES),
+        st.sampled_from(_SCORES + _BAD_SCORES),
+    ),
+    st.sampled_from(["good\tadjective\t0.5\t0.5", "a\tb\tc\td\te\tf"]),  # 4 or 6 fields
+)
+_valid_sense_lines = st.one_of(
+    _sense_rows, st.sampled_from(["", " ", " \t ", "\t\t\t\t", "# lemma\tpos", "#\ta\tb\tc\td"])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dump_lines(_valid_sense_lines, _hostile_sense_lines, 10))
+@example(["good\tadjective\t0.75\t0.25\tg1", "bad\tadjective\tnan\t0\tb1"])
+@example(["good\tadjective\t0.75\t0.5\tg1"])
+def test_sense_file_agrees_with_the_reference_reader(tmp_path_factory, lines):
+    """The same records, field for field, or the same error text and line, as the reader before tuning."""
+    dump = tmp_path_factory.getbasetemp() / "senses.tsv"
+    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    actual = outcome(parse_sense_file, dump)
+    expected = outcome(reference_parse_sense_file, dump)
+    if isinstance(expected, list):
+        assert all(type(r) is SenseRecord for r in actual)
+        actual = [(r.lemma, r.pos_class, r.pos_score, r.neg_score, r.sense_id) for r in actual]
+        expected = [astuple(r) for r in expected]
+    assert actual == expected
+
+
 # --- feeling compilation -----------------------------------------------------
 
 def adj_sense(lemma, pos=0.0, neg=0.0, sid="s"):
@@ -185,6 +282,20 @@ def test_feeling_fixture_file(data_dir):
 def test_sense_record_rejects_score_overflow():
     with pytest.raises(ValueError):
         SenseRecord("x", PosClass.ADJECTIVE, 0.7, 0.7, "s")
+
+
+def test_sense_record_is_an_immutable_tuple_validated_however_it_is_built():
+    r = SenseRecord(lemma="tasty", pos_class=PosClass.ADJECTIVE, pos_score=0.75, neg_score=0.0, sense_id="t1")
+    assert r == ("tasty", PosClass.ADJECTIVE, 0.75, 0.0, "t1") and r.pos_score == 0.75
+    assert hash(r) == hash(SenseRecord("tasty", PosClass.ADJECTIVE, 0.75, 0.0, "t1"))
+    with pytest.raises(AttributeError):
+        r.lemma = "bland"
+    with pytest.raises(ValueError, match="scores out of range for 'x'"):
+        SenseRecord("x", PosClass.ADJECTIVE, float("nan"), 0.0, "s")
+    with pytest.raises(ValueError, match="pos\\+neg exceeds 1.0 for 'tasty'"):
+        r._replace(neg_score=0.5)
+    with pytest.raises(ValueError, match="scores out of range for 'x'"):
+        SenseRecord._make(("x", PosClass.ADJECTIVE, 1.5, 0.0, "s"))
 
 
 # --- emotion compilation -----------------------------------------------------

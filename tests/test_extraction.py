@@ -280,6 +280,11 @@ def test_longest_pattern_wins_over_p1():
     assert events[0].token_indices == (1, 2, 4)
 
 
+def test_a_plural_proper_noun_object_binds_p2():
+    s = sentence([("I", "i", "PRP", 2, "nsubj"), ("bought", "buy", "VBD", 0, "root"), ("Oreos", "oreo", "NNPS", 2, "dobj")])
+    assert [(e.pattern_id, e.token_indices) for e in match_action_patterns(s)] == [("P2", (1, 2, 3))]
+
+
 def test_non_first_person_subject_is_ignored():
     s = sentence(
         [
@@ -604,6 +609,21 @@ def test_negation_detects_nt_clitic():
     assert detect_negation(extract_state_event(s))
 
 
+def test_an_upper_case_nt_clitic_negates_by_its_surface():
+    # Its lemma is not "not", so only the case-insensitive surface rule can find it.
+    s = sentence(
+        [
+            ("I", "i", "PRP", 4, "nsubj"),
+            ("DO", "do", "VBP", 4, "aux"),
+            ("N'T", "n't", "RB", 4, "neg"),
+            ("LIKE", "like", "VB", 0, "root"),
+            ("IT", "it", "PRP", 4, "dobj"),
+        ]
+    )
+    assert s.negators == (3,)
+    assert extract_state_event(s).negated
+
+
 def test_negation_absent():
     s = sentence(
         [
@@ -664,6 +684,13 @@ def test_negated_emotion_links_opposite_node():
     links = detect_perception(extract_state_event(s), small_lexicon())
     assert [(l.word, l.node, l.flipped) for l in links] == [("happy", N.EMO_NEG, True)]
     assert links[0].combo is Combo.FIRSTPERSON_EMOTION
+
+
+@pytest.mark.parametrize("tag, surface", [("JJR", "happier"), ("JJS", "happiest")])
+def test_a_comparative_or_superlative_emotion_adjective_links_its_node(tag, surface):
+    s = sentence([("I", "i", "PRP", 3, "nsubj"), ("am", "be", "VBP", 3, "cop"), (surface, "happy", tag, 0, "root")])
+    links = detect_perception(extract_state_event(s), small_lexicon())
+    assert [(l.word, l.node, l.combo) for l in links] == [("happy", N.EMO_POS, Combo.FIRSTPERSON_EMOTION)]
 
 
 def test_feeling_without_food_yields_nothing():

@@ -395,6 +395,11 @@ def test_heuristic_exemplar_verbs():
     assert heuristic_classifier("I wash the apples") is ActionClass.PHYSICAL
 
 
+def test_heuristic_strips_quotes_and_brackets_around_a_keyword():
+    assert heuristic_classifier('I "think" so') is ActionClass.MENTAL
+    assert heuristic_classifier("I (rent) it") is ActionClass.SOCIAL
+
+
 def test_heuristic_defaults_to_physical():
     assert heuristic_classifier("I blorp") is ActionClass.PHYSICAL
 

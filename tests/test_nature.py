@@ -76,6 +76,8 @@ def test_find_cycle_agrees_with_kahn(graph):
     n, edges = graph
     successors = {v: sorted(t for h, t in edges if h == v) for v in range(n)}
     cycle = find_cycle(range(n), successors.__getitem__)
+    # A node without successors lies on no cycle: walking only from the others, in order, meets the same one.
+    assert find_cycle(sorted(v for v in range(n) if successors[v]), successors.__getitem__) == cycle
     if kahn_acyclic(n, edges):
         assert cycle is None
     else:
@@ -229,6 +231,15 @@ def test_graph_file_errors(tmp_path):
     bad_flag.write_text("emo_pos\tneed_food_pos\tyes\n", encoding="utf-8")
     with pytest.raises(GraphFileError):
         load_graph_file(bad_flag)
+
+
+def test_a_graph_file_self_loop_is_an_error_at_its_line(tmp_path):
+    path = tmp_path / "graph.tsv"
+    path.write_text("emo_pos\temo_pos\t1\n", encoding="utf-8")
+    with pytest.raises(GraphFileError) as exc:
+        load_graph_file(path)
+    assert exc.value.line_no == 1
+    assert str(exc.value) == f"{path}:1: self-loop on emo_pos"
 
 
 def test_a_graph_file_naming_few_nodes_still_holds_all_thirteen(tmp_path):
