@@ -81,7 +81,6 @@ def _by_value(enum: type[Enum]) -> Callable[[str], Enum]:
 
 _NODE, _SOURCE, _POS, _EMOTION = map(_by_value, (NatureNodeId, BeliefSource, PosClass, EmotionClass))
 _POLAR_PAIRS = ((NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG), (NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG))
-_SINGLE_NODE = {node: frozenset([node]) for node in PERCEPTION_NODES}
 
 
 class BeliefTuple(NamedTuple("_BeliefFields", [("word", str), ("node", NatureNodeId), ("source", BeliefSource), ("pos_class", PosClass)])):
@@ -118,19 +117,16 @@ class BeliefLexicon:
             for a, b in zip(entries, entries[1:]):
                 if a.node is b.node:
                     raise ValueError(f"duplicate lexicon entry for ({word!r}, {a.node.value})")
-        shared: dict[frozenset[NatureNodeId], frozenset[NatureNodeId]] = {}  # one per distinct set, at most 2**5
-        self._nodes = {word: _SINGLE_NODE[entries[0].node] for word, entries in by_word.items()}
         for word in repeated:
-            nodes = frozenset(t.node for t in by_word[word])
+            nodes = {t.node for t in by_word[word]}
             for a, b in _POLAR_PAIRS:
                 if a in nodes and b in nodes:
                     raise ValueError(f"{word!r} maps to both {a.value} and {b.value}")
-            self._nodes[word] = shared.setdefault(nodes, nodes)
         self._by_word = by_word
 
     def lookup(self, word: str) -> set[NatureNodeId]:
         """Nodes linked to a word, as a new set; case-insensitive, empty when unknown."""
-        return set(self._nodes.get(word.casefold(), ()))
+        return {t.node for t in self._by_word.get(word.casefold(), ())}
 
     def tuples_for(self, word: str) -> tuple[BeliefTuple, ...]:
         """A word's entries by (node, source) value; case-insensitive, empty when unknown."""

@@ -352,11 +352,6 @@ def _span_negated(sentence: ParsedSentence, indices: tuple[int, ...]) -> bool:
     return bool(sentence.negators) and any(i in indices for i in sentence.negators)
 
 
-def detect_negation(event: Event) -> bool:
-    """True when the event span contains lemma "not" or the clitic "n't"."""
-    return _span_negated(event.sentence, event.token_indices)
-
-
 def classify_tense(event: Event) -> Tense:
     """Past iff the event verb is tagged VBD or VBN."""
     tag = event.sentence.tokens[event.verb_index - 1].pos_tag
@@ -376,7 +371,8 @@ def detect_perception(event: Event, lexicon: BeliefLexicon) -> list[PerceptionLi
     emo_adj_words: list[tuple[str, NatureNodeId]] = []
     tokens = event.sentence.tokens
     for tok in [tokens[i - 1] for i in event.token_indices]:
-        for node in lexicon.lookup(tok.lemma):
+        for entry in lexicon.tuples_for(tok.lemma):
+            node = entry.node
             if node is NatureNodeId.FOOD:
                 food_words.append((tok.lemma, node))
             elif node in _FEELING_NODES:

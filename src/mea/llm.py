@@ -284,24 +284,22 @@ class LlmClient:
             return self.calls, self.cache_hits
 
     def classify_action_event(self, text: str) -> ActionClass:
-        """Classify one first-person action event as mental, physical or social."""
-        if not text.strip():
-            raise ValueError("event text must be non-empty")
-        if self.config.mode is ClientMode.HEURISTIC:
-            with self._lock:
-                self.calls += 1
-            return heuristic_classifier(text)
-        label = self._complete(self.template("classify_action"), text)
-        return _LABEL_TO_CLASS[label]
+        """Classify one first-person action event as mental, physical or social: a batch of one, awaited."""
+        answers = self.classify_action_events([text])
+        [answer] = answers.result() if isinstance(answers, Future) else answers
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
 
     def classify_action_events(
         self, texts: Sequence[str]
     ) -> list[ActionClass | Exception] | Future[list[ActionClass | Exception]]:
-        """Classify each text as classify_action_event would, without waiting on the endpoint.
+        """Classify first-person action events as mental, physical or social, without waiting on the endpoint.
 
-        Each text gets its class, or the exception classifying it raised: as
-        a list when every text is answered now (cached, fixture and heuristic
-        texts are), else as a future, done when the last request it needs is.
+        Each text gets its class, or the exception classifying it raised (a
+        ValueError for blank text): as a list when every text is answered now
+        (cached, fixture and heuristic texts are), else as a future, done when
+        the last request it needs is.
         """
         outcomes = [self._start_classify(text) for text in texts]
         requests = [o for o in outcomes if isinstance(o, Future)]
@@ -313,8 +311,12 @@ class LlmClient:
 
     def _start_classify(self, text: str) -> ActionClass | Exception | Future[str]:
         try:
-            if self.config.mode is ClientMode.HEURISTIC or not text.strip():
-                return self.classify_action_event(text)
+            if not text.strip():
+                raise ValueError("event text must be non-empty")
+            if self.config.mode is ClientMode.HEURISTIC:
+                with self._lock:
+                    self.calls += 1
+                return heuristic_classifier(text)
             label = self._lookup(self.template("classify_action"), text)
         except Exception as exc:  # the caller decides, per text, what an error means
             return exc
@@ -347,10 +349,6 @@ class LlmClient:
             if label == template.keep_label:
                 kept.append(word)
         return kept
-
-    def _complete(self, template: PromptTemplate, input_text: str) -> str:
-        label = self._lookup(template, input_text)
-        return label.result() if isinstance(label, Future) else label
 
     def _lookup(self, template: PromptTemplate, input_text: str) -> str | Future[str]:
         """Count a call; return the cached label, else the one request for its key, started if none is pending."""

@@ -70,7 +70,6 @@ class CorpusStats:
 
 
 class _Prepared(NamedTuple):  # a review built up to its classifier calls
-    record: ReviewRecord
     dag: MeaDag
     texts: list[str]  # what its action events ask the classifier, in event order
 
@@ -251,7 +250,7 @@ def run_pipeline(
                 raise answer
             return answer
 
-        review_id = review.record.review_id
+        review_id = review.dag.review_id
         try:
             dag = finish_mea_dag(review.dag, graph, classify)
             if dag.events:
@@ -285,7 +284,7 @@ def run_pipeline(
     for position, record in enumerate(work):
         try:
             dag = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
-            review = _Prepared(record, dag, [event.text for event in dag.events if needs_classifier(event)])
+            review = _Prepared(dag, [event.text for event in dag.events if needs_classifier(event)])
             answers = client.classify_action_events(review.texts)
         except Exception as exc:  # quarantined per review
             errors[position] = exc

@@ -16,9 +16,9 @@ from mea.belief import (
     normalize_word,
 )
 from mea.dag import ActionClass
-from mea.extraction import ConlluError, PerceptionLink, Tense
+from mea.extraction import FIRST_PERSON_LEMMAS, Combo, ConlluError, PerceptionLink, Tense
 from mea.llm import ClientConfig, ClientMode, LlmClient
-from mea.nature import NODE_ORDER, NatureNodeId, default_graph, find_cycle, reachable
+from mea.nature import NODE_ORDER, NatureNodeId, default_graph, find_cycle, opposite_node, reachable
 
 DATA = Path(__file__).parent / "data"
 
@@ -245,3 +245,59 @@ def reference_parse_sense_file(path) -> list[ReferenceSense]:
         except ValueError as exc:
             raise LexiconFormatError(str(path), line_no, str(exc)) from None
     return records
+
+
+# --- negation oracle -----------------------------------------------------------
+# Read from the event span's own tokens, independently of ParsedSentence.negators,
+# which mea.extraction computes once per sentence to set Event.negated.
+
+def detect_negation(event) -> bool:
+    """True when the event span contains lemma "not" or the clitic "n't", in any case."""
+    tokens = event.sentence.tokens
+    return any(tokens[i - 1].lemma == "not" or tokens[i - 1].surface.lower() == "n't" for i in event.token_indices)
+
+
+# --- reference perception ----------------------------------------------------
+# mea.extraction.detect_perception as it was when span tokens went through
+# BeliefLexicon.lookup (a node set per token) and only the verb went through
+# tuples_for; the production function reads tuples_for for every token.
+
+_FEELING = frozenset({NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG})
+_EMOTION = frozenset({NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG})
+
+
+def reference_detect_perception(event, lexicon) -> list[PerceptionLink]:
+    food_words, feeling_words, emo_adj_words = [], [], []
+    tokens = event.sentence.tokens
+    for tok in [tokens[i - 1] for i in event.token_indices]:
+        for node in lexicon.lookup(tok.lemma):
+            if node is NatureNodeId.FOOD:
+                food_words.append((tok.lemma, node))
+            elif node in _FEELING:
+                feeling_words.append((tok.lemma, node))
+            elif node in _EMOTION and tok.pos_tag.startswith("JJ"):
+                emo_adj_words.append((tok.lemma, node))
+
+    hits = []
+    if food_words and feeling_words:
+        hits += [(word, node, Combo.FOOD_FEELING) for word, node in food_words + feeling_words]
+    if food_words and emo_adj_words:
+        hits += [(word, node, Combo.FOOD_EMOTION) for word, node in food_words + emo_adj_words]
+    if event.subject_lemma in FIRST_PERSON_LEMMAS:
+        hits += [(word, node, Combo.FIRSTPERSON_EMOTION) for word, node in emo_adj_words]
+    verb = tokens[event.verb_index - 1]
+    for entry in lexicon.tuples_for(verb.lemma):
+        if entry.node in _EMOTION and entry.pos_class is PosClass.VERB:
+            hits.append((verb.lemma, entry.node, Combo.EMOTIONAL_ACTION))
+
+    links = []
+    emitted = set()
+    for word, node, combo in hits:
+        if (word, node) in emitted:
+            continue
+        emitted.add((word, node))
+        if event.negated and node in _FEELING | _EMOTION:
+            links.append(PerceptionLink(word, opposite_node(node), combo, flipped=True))
+        else:
+            links.append(PerceptionLink(word, node, combo))
+    return links

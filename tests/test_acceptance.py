@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, detect_negation
 from mea.belief import (
     compile_feeling_lexicon,
     compile_food_lexicon,
@@ -21,7 +21,7 @@ from mea.belief import (
 )
 from mea.cli import main
 from mea.dag import MeaDag, forward_transmit, is_valid
-from mea.extraction import detect_negation, detect_perception, extract_events, match_action_patterns, parse_conllu
+from mea.extraction import detect_perception, extract_events, match_action_patterns, parse_conllu
 from mea.nature import DEFAULT_EDGE_TABLE, NatureNodeId, default_graph, opposite_node
 
 from test_extraction import all_fixture_sentences, brute_force_matches

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import permutations
 from pathlib import Path
 
@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mea.extraction
-from conftest import reference_parse_conllu, sentence
+from conftest import detect_negation, reference_detect_perception, reference_parse_conllu, sentence
 from mea.belief import BeliefLexicon, BeliefSource, BeliefTuple, PosClass
 from mea.extraction import (
     Combo,
@@ -16,7 +16,6 @@ from mea.extraction import (
     Token,
     Tense,
     classify_tense,
-    detect_negation,
     detect_perception,
     extract_events,
     extract_state_event,
@@ -635,6 +634,12 @@ def test_negation_absent():
     assert not detect_negation(extract_state_event(s))
 
 
+def test_negated_agrees_with_the_negation_oracle_on_every_fixture_event(data_dir):
+    events = [event for s in all_fixture_sentences(data_dir) for event in extract_events(s)]
+    assert [event.negated for event in events] == [detect_negation(event) for event in events]
+    assert sum(event.negated for event in events) >= 3  # the fixtures hold negated events
+
+
 def test_tense_classification():
     past = sentence([("I", "i", "PRP", 2, "nsubj"), ("bought", "buy", "VBD", 0, "root")])
     assert classify_tense(match_action_patterns(past)[0]) is Tense.PAST
@@ -757,3 +762,60 @@ def test_perception_words_always_come_from_the_lexicon(data_dir, lexicon):
                 assert lexicon_node in lexicon.lookup(link.word)
                 if link.flipped:
                     assert opposite_node(link.node) == lexicon_node
+
+
+def test_perception_agrees_with_the_lookup_reference_on_every_fixture_event(data_dir, lexicon):
+    linked = 0
+    for s in all_fixture_sentences(data_dir):
+        for event in extract_events(s):
+            for variant in (event, replace(event, negated=not event.negated)):
+                links = detect_perception(variant, lexicon)
+                assert links == reference_detect_perception(variant, lexicon)
+                linked += bool(links)
+    assert linked >= 10
+
+
+_FEELINGS = (None, N.EXPERIENCE_FEELING_POS, N.EXPERIENCE_FEELING_NEG)
+_EMOTIONS = (None, N.EMO_POS, N.EMO_NEG)
+
+
+@st.composite
+def word_entries(draw, word, everything=False):
+    """A word's lexicon entries: food, a feeling node and an emotion node, each present or not."""
+    food = everything or draw(st.booleans())
+    feeling = draw(st.sampled_from(_FEELINGS[1:] if everything else _FEELINGS))
+    emotion = draw(st.sampled_from(_EMOTIONS[1:] if everything else _EMOTIONS))
+    entries = []
+    if food:
+        entries.append(BeliefTuple(word, N.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN))
+    if feeling is not None:
+        entries.append(BeliefTuple(word, feeling, BeliefSource.SENTIWORDNET, PosClass.ADJECTIVE))
+    if emotion is not None:
+        pos_class = draw(st.sampled_from([PosClass.ADJECTIVE, PosClass.VERB]))
+        entries.append(BeliefTuple(word, emotion, BeliefSource.EMOTION_BASE, pos_class))
+    return entries
+
+
+@st.composite
+def perception_cases(draw):
+    """A lexicon where "all" is food, feeling and emotion at once, and a clause whose verb is "all" or the emotion verb "adore"."""
+    entries = draw(word_entries("all", everything=True))
+    entries.append(BeliefTuple("adore", draw(st.sampled_from(_EMOTIONS[1:])), BeliefSource.EMOTION_BASE, PosClass.VERB))
+    for word in ("dish", "warm", "glad"):
+        entries += draw(word_entries(word))
+    subject, verb = draw(st.sampled_from(["i", "we", "it"])), draw(st.sampled_from(["adore", "all"]))
+    rows = [(subject.upper(), subject, "PRP", 2, "nsubj"), (verb, verb, "VBP", 0, "root")]
+    words = draw(st.lists(st.sampled_from(["all", "All", "dish", "warm", "glad", "not", "plain"]), max_size=6))
+    for word in words:
+        tag = draw(st.sampled_from(["JJ", "JJR", "NN", "NNS", "RB"]))
+        rows.append((word, word, tag, 2, draw(st.sampled_from(["dobj", "amod", "advmod", "neg"]))))
+    return BeliefLexicon(entries), sentence(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perception_cases())
+def test_perception_agrees_with_the_lookup_reference_on_random_lexicons(case):
+    lexicon, s = case
+    for event in extract_events(s):
+        for variant in (event, replace(event, negated=not event.negated)):
+            assert detect_perception(variant, lexicon) == reference_detect_perception(variant, lexicon)

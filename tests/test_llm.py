@@ -474,6 +474,39 @@ def test_classify_action_events_answers_replay_and_heuristic_texts_in_place(repl
     assert heuristic.stats() == (1, 0)
 
 
+_AGREEMENT_CASES = {  # outcome -> (a fresh client, the text it classifies)
+    "replay-hit": (make_replay_client, "I buy it"),
+    "replay-miss": (make_replay_client, "I juggle flaming torches"),
+    "heuristic": (lambda: LlmClient(ClientConfig(mode=ClientMode.HEURISTIC)), "I recommend it"),
+    "empty": (make_replay_client, ""),
+    "whitespace-only": (make_replay_client, " \t "),
+    "heuristic-whitespace-only": (lambda: LlmClient(ClientConfig(mode=ClientMode.HEURISTIC)), "  "),
+    "live-success": (lambda: live_client(RecordingTransport({"I wash": " Physical \n"})), "I wash the apples"),
+    "live-unparseable": (lambda: live_client(RecordingTransport({"I blorp": "probably physical"})), "I blorp"),
+    "live-transport-error": (lambda: live_client(RecordingTransport({}), retries=1), "I vanish"),
+}
+
+
+@pytest.mark.parametrize("outcome", list(_AGREEMENT_CASES))
+def test_one_text_gets_what_a_batch_of_one_yields(outcome):
+    make_client, text = _AGREEMENT_CASES[outcome]
+    single, batch = make_client(), make_client()
+    try:
+        answer = single.classify_action_event(text)
+    except Exception as exc:
+        answer = exc
+    answers = batch.classify_action_events([text])
+    (expected,) = answers.result(timeout=10) if isinstance(answers, Future) else answers
+    if isinstance(expected, Exception):
+        assert (type(answer), str(answer)) == (type(expected), str(expected))
+    else:
+        assert answer is expected
+    assert single.stats() == batch.stats()
+    assert getattr(single._transport, "calls", None) == getattr(batch._transport, "calls", None)
+    single.close()
+    batch.close()
+
+
 def peak_counting_transport(label):
     """A 10-ms transport answering label, and the list holding its peak number of requests in flight."""
     lock, in_flight, peak = threading.Lock(), [0], [0]
@@ -578,5 +611,7 @@ def test_close_sends_only_the_requests_already_running(tmp_path, caplog):
     assert len(cancelled) == len(results) - MAX_IN_FLIGHT
     assert all(isinstance(r, LlmTransportError) and "cancelled" in str(r) for r in cancelled)
     assert len(waiter_errors) == 1
+    assert (type(waiter_errors[0]), str(waiter_errors[0])) == (LlmTransportError, str(cancelled[0]))
+    assert "request cancelled" in str(waiter_errors[0])
     assert client._pending == {}
     assert "exception calling callback" not in caplog.text
