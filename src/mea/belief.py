@@ -14,17 +14,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import InputFileError, read_text, split_fields
-from .nature import NatureNodeId, find_cycle, reachable
-
-PERCEPTION_NODES = frozenset(
-    {
-        NatureNodeId.FOOD,
-        NatureNodeId.EXPERIENCE_FEELING_POS,
-        NatureNodeId.EXPERIENCE_FEELING_NEG,
-        NatureNodeId.EMO_POS,
-        NatureNodeId.EMO_NEG,
-    }
-)
+from .nature import EMOTION_NODES, FEELING_NODES, PERCEPTION_NODES, NatureNodeId, find_cycle, reachable
 
 FEELING_SCORE_THRESHOLD = 0.6
 
@@ -80,7 +70,6 @@ def _by_value(enum: type[Enum]) -> Callable[[str], Enum]:
 
 
 _NODE, _SOURCE, _POS, _EMOTION = map(_by_value, (NatureNodeId, BeliefSource, PosClass, EmotionClass))
-_POLAR_PAIRS = ((NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG), (NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG))
 
 
 class BeliefTuple(NamedTuple("_BeliefFields", [("word", str), ("node", NatureNodeId), ("source", BeliefSource), ("pos_class", PosClass)])):
@@ -119,18 +108,18 @@ class BeliefLexicon:
                     raise ValueError(f"duplicate lexicon entry for ({word!r}, {a.node.value})")
         for word in repeated:
             nodes = {t.node for t in by_word[word]}
-            for a, b in _POLAR_PAIRS:
+            for a, b in (EMOTION_NODES, FEELING_NODES):
                 if a in nodes and b in nodes:
                     raise ValueError(f"{word!r} maps to both {a.value} and {b.value}")
         self._by_word = by_word
 
     def lookup(self, word: str) -> set[NatureNodeId]:
-        """Nodes linked to a word, as a new set; case-insensitive, empty when unknown."""
-        return {t.node for t in self._by_word.get(word.casefold(), ())}
+        """Nodes linked to ``word.lower()``, as a new set; empty when unknown."""
+        return {t.node for t in self._by_word.get(word.lower(), ())}
 
     def tuples_for(self, word: str) -> tuple[BeliefTuple, ...]:
-        """A word's entries by (node, source) value; case-insensitive, empty when unknown."""
-        return self._by_word.get(word.casefold(), ())
+        """The entries of ``word.lower()`` by (node, source) value; empty when unknown."""
+        return self._by_word.get(word.lower(), ())
 
     def __len__(self) -> int:
         return len(self.tuples)

@@ -15,6 +15,7 @@ from .belief import BeliefLexicon
 from .llm import ClientConfig, ClientMode, LlmClient
 from .nature import default_graph, load_graph_file, validate_graph
 from .runner import (
+    INDEX_FILE,
     OrphanParseError,
     ingest_reviews,
     load_parse_dir,
@@ -140,7 +141,7 @@ def _read_json(path: str | Path, use: Callable[[Any], dict]) -> dict:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    index_path = Path(args.index) / "index.json"
+    index_path = Path(args.index) / INDEX_FILE
     manifest = _read_json(index_path, lambda entries: sample_for_evaluation(entries, args.n, args.seed))
     Path(args.out).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"{len(manifest['entries'])} samples -> {args.out}")

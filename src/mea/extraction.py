@@ -18,36 +18,22 @@ from typing import Callable, NamedTuple
 
 from . import InputFileError, read_text, split_fields
 from .belief import BeliefLexicon, PosClass
-from .nature import NatureNodeId, opposite_node
+from .nature import EMOTION_NODES, FEELING_NODES, NatureNodeId, opposite_node
 
 FIRST_PERSON_LEMMAS = frozenset({"i", "we"})
-
-_FEELING_NODES = frozenset({NatureNodeId.EXPERIENCE_FEELING_POS, NatureNodeId.EXPERIENCE_FEELING_NEG})
-_EMOTION_NODES = frozenset({NatureNodeId.EMO_POS, NatureNodeId.EMO_NEG})
-_FLIPPABLE_NODES = _FEELING_NODES | _EMOTION_NODES
 
 
 class ConlluError(InputFileError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Token:
+class Token(NamedTuple):
     index: int          # 1-based position
     surface: str
     lemma: str          # lowercase, taken from the parse
     pos_tag: str        # Penn Treebank tag
     head: int           # 0 = root
     deprel: str
-
-    def __init__(self, index: int, surface: str, lemma: str, pos_tag: str, head: int, deprel: str):
-        # Each slot through its own setter: a frozen dataclass's generated __init__
-        # calls object.__setattr__ by name per field, at about 1.7 times the cost.
-        for set_slot, value in zip(_TOKEN_SLOTS, (index, surface, lemma, pos_tag, head, deprel)):
-            set_slot(self, value)
-
-
-_TOKEN_SLOTS = tuple(getattr(Token, name).__set__ for name in Token.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,9 +361,9 @@ def detect_perception(event: Event, lexicon: BeliefLexicon) -> list[PerceptionLi
             node = entry.node
             if node is NatureNodeId.FOOD:
                 food_words.append((tok.lemma, node))
-            elif node in _FEELING_NODES:
+            elif node in FEELING_NODES:
                 feeling_words.append((tok.lemma, node))
-            elif node in _EMOTION_NODES and tok.pos_tag.startswith("JJ"):
+            elif node in EMOTION_NODES and tok.pos_tag.startswith("JJ"):
                 emo_adj_words.append((tok.lemma, node))
 
     hits: list[tuple[str, NatureNodeId, Combo]] = []  # in emission order, repeats included
@@ -389,7 +375,7 @@ def detect_perception(event: Event, lexicon: BeliefLexicon) -> list[PerceptionLi
         hits += [(word, node, Combo.FIRSTPERSON_EMOTION) for word, node in emo_adj_words]
     verb = tokens[event.verb_index - 1]
     for entry in lexicon.tuples_for(verb.lemma):
-        if entry.node in _EMOTION_NODES and entry.pos_class is PosClass.VERB:
+        if entry.node in EMOTION_NODES and entry.pos_class is PosClass.VERB:
             hits.append((verb.lemma, entry.node, Combo.EMOTIONAL_ACTION))
 
     links: list[PerceptionLink] = []
@@ -398,7 +384,7 @@ def detect_perception(event: Event, lexicon: BeliefLexicon) -> list[PerceptionLi
         if (word, node) in emitted:
             continue
         emitted.add((word, node))
-        if event.negated and node in _FLIPPABLE_NODES:
+        if event.negated and node is not NatureNodeId.FOOD:  # feelings and emotions flip
             links.append(PerceptionLink(word, opposite_node(node), combo, flipped=True))
         else:
             links.append(PerceptionLink(word, node, combo))

@@ -35,7 +35,7 @@ MODEL_ENV = "MEA_LLM_MODEL"
 DEFAULT_MODEL = "glm-4"
 MAX_IN_FLIGHT = 4  # concurrent requests per client
 
-_LABEL_TO_CLASS = {c.value.casefold(): c for c in ActionClass}
+_LABEL_TO_CLASS = {c.value.lower(): c for c in ActionClass}
 
 _TEMPLATE_LABELS: dict[str, tuple[frozenset[str], str | None]] = {
     "filter_feeling_neg": (frozenset({"yes", "no"}), "yes"),
@@ -374,7 +374,7 @@ class LlmClient:
         """Request one key's label and cache it; the callers that joined the request count as hits only then."""
         try:
             raw = self._request(template.render(input_text))
-            label = raw.strip().casefold()
+            label = raw.strip().lower()
             if label not in template.expected_labels:
                 raise LlmParseError(
                     f"response is not one of {sorted(template.expected_labels)}", raw_response=raw

@@ -130,15 +130,16 @@ DEFAULT_EDGE_TABLE: tuple[tuple[NatureNodeId, NatureNodeId, bool], ...] = (
     (N.ACTION_NEG, N.SOCIAL_ACTION, True),
 )
 
+# The polar families, each a (pos, neg) pair. The lexicon lights the feeling
+# and emotion pairs, which with food are the five perception nodes.
+FEELING_NODES = (N.EXPERIENCE_FEELING_POS, N.EXPERIENCE_FEELING_NEG)
+EMOTION_NODES = (N.EMO_POS, N.EMO_NEG)
+PERCEPTION_NODES = frozenset((N.FOOD, *FEELING_NODES, *EMOTION_NODES))
+
 _OPPOSITES: dict[NatureNodeId, NatureNodeId] = {
-    N.EXPERIENCE_FEELING_POS: N.EXPERIENCE_FEELING_NEG,
-    N.EXPERIENCE_FEELING_NEG: N.EXPERIENCE_FEELING_POS,
-    N.EMO_POS: N.EMO_NEG,
-    N.EMO_NEG: N.EMO_POS,
-    N.NEED_FOOD_POS: N.NEED_FOOD_NEG,
-    N.NEED_FOOD_NEG: N.NEED_FOOD_POS,
-    N.ACTION_POS: N.ACTION_NEG,
-    N.ACTION_NEG: N.ACTION_POS,
+    node: other
+    for pos, neg in (FEELING_NODES, EMOTION_NODES, (N.NEED_FOOD_POS, N.NEED_FOOD_NEG), (N.ACTION_POS, N.ACTION_NEG))
+    for node, other in ((pos, neg), (neg, pos))
 }
 
 
@@ -159,7 +160,7 @@ def find_cycle(roots: Iterable[T], successors: Callable[[T], Iterable[T]]) -> li
 
     The cycle is listed in walk order and closed on its first node. The walk
     keeps an explicit stack of successor iterators, so depth is not limited by
-    the interpreter's recursion limit.
+    the interpreter's recursion limit, and asks for each node's successors once.
     """
     done: set[T] = set()
     for root in roots:

@@ -48,6 +48,8 @@ OPEN_REVIEWS = 256  # reviews waiting on the endpoint at once; bounds the state 
 _CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
 _UNSAFE_ID_CHAR = re.compile(rf"[/\\{_CONTROL_CHARS}]")
 _CONTROL_CHAR = re.compile(rf"[{_CONTROL_CHARS}]")
+# The files a run writes beside its graphs.
+INDEX_FILE, STATS_FILE, FAILURES_FILE = "index.json", "stats.json", "failures.log"
 
 
 @dataclass
@@ -91,10 +93,10 @@ def ingest_reviews(
 ) -> list[ReviewRecord]:
     """Read a review corpus in snap (key: value blocks) or csv (Id,Text) form.
 
-    Records without usable text, CSV rows whose Id is unsafe as a file name,
-    and every row of a CSV Id that appears more than once are skipped with a
-    warning; when a failures list is given they are recorded there for
-    quarantine reporting.
+    Records without usable text, CSV rows whose Id is unsafe as a file name
+    or names a file the run writes for itself, and every row of a CSV Id that
+    appears more than once are skipped with a warning; when a failures list
+    is given they are recorded there for quarantine reporting.
     """
     path = Path(path)
     if fmt == "snap":
@@ -157,6 +159,8 @@ def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[Revi
             _skip(failures, "<missing id>", "missing Id value")
         elif review_id in (".", "..") or _UNSAFE_ID_CHAR.search(review_id):
             _skip(failures, review_id, "Id must not be . or .. or contain /, \\ or control characters")
+        elif f"{review_id}.json" in (INDEX_FILE, STATS_FILE):
+            _skip(failures, review_id, f"Id names the run's own {review_id}.json")
         elif id_rows[review_id] > 1:
             _skip(failures, review_id, f"Id appears in {id_rows[review_id]} rows")
         elif not text:
@@ -303,11 +307,11 @@ def run_pipeline(
     stats.classifier_calls, stats.classifier_cache_hits = client.stats()
 
     index_entries.sort(key=lambda e: e["review_id"])
-    _write_file(f"{out}index.json", json.dumps(index_entries, indent=2) + "\n")
-    _write_file(f"{out}stats.json", json.dumps(asdict(stats), indent=2) + "\n")
+    _write_file(out + INDEX_FILE, json.dumps(index_entries, indent=2) + "\n")
+    _write_file(out + STATS_FILE, json.dumps(asdict(stats), indent=2) + "\n")
     if failures:
         lines = [f"{_escape_controls(rid)}\t{_escape_controls(reason)}" for rid, reason in failures]
-        _write_file(f"{out}failures.log", "\n".join(lines) + "\n")
+        _write_file(out + FAILURES_FILE, "\n".join(lines) + "\n")
     return stats
 
 

@@ -20,6 +20,7 @@ from mea.belief import (
     compile_food_lexicon,
     dumps_lexicon,
     load_lexicon,
+    load_word_list,
     loads_lexicon,
     parse_emotion_file,
     parse_sense_file,
@@ -84,6 +85,14 @@ def test_lookup_is_case_insensitive(lexicon):
     assert lexicon.lookup("Meatball") == {N.FOOD}
     assert lexicon.lookup("happy") == {N.EMO_POS}
     assert lexicon.lookup("qwxz") == set()
+
+
+def test_a_word_is_looked_up_in_its_str_lower_form():
+    """str.lower, the form a BeliefTuple holds: casefold would ask for "strasse" and miss."""
+    lex = BeliefLexicon([BeliefTuple("straße", N.FOOD, BeliefSource.WORDNET_HYPONYM, PosClass.NOUN)])
+    assert lex.tuples_for("Straße") == lex.tuples_for("STRAẞE") == tuple(lex.tuples)
+    assert lex.lookup("Straße") == {N.FOOD}
+    assert lex.tuples_for("STRASSE") == ()
 
 
 # --- food compilation --------------------------------------------------------
@@ -198,6 +207,8 @@ def dump_lines(draw, valid, hostile, max_size):
 @given(dump_lines(_valid_hyponym_lines, _hostile_hyponym_lines, 14), st.lists(st.sampled_from(["bread", "food", "Solid_Food", "tea.n."]), max_size=2))
 @example(["food.n.01\tfood", "x.n.01\tx.n.01", "food.n.01\tdish.n.01", "dish.n.01\tfood.n.01"], [])
 @example(["food.n.01\tFOOD_", "food.n.01\tdish.n.01", "dish.n.01\ta.n.b", " \t ", "dish.n.01\tdish"], ["dish"])
+@example(["food.n.01\tfood", "food.n.01\tfood\tx"], [])  # 3 fields after a known synset
+@example(["food.n.01\tfood", "food\tfood.n.01"], [])  # a bad first field before a known synset
 def test_food_compile_agrees_with_the_reference_reader(tmp_path_factory, lines, exclusions):
     """The same tuples, or the same error type, text, line and cycle, as the reader before tuning."""
     dump = tmp_path_factory.getbasetemp() / "hyponyms.tsv"
@@ -323,6 +334,17 @@ def test_emotion_extensions_inherit_class_and_source():
     assert by_word["fond"].node is N.EMO_POS
 
 
+def test_emotion_keeps_a_words_first_entry_and_skips_blank_words():
+    bases = [
+        EmotionBaseWord("glad", EmotionClass.JOY, PosClass.ADJECTIVE),
+        EmotionBaseWord("Glad_", EmotionClass.LOVE, PosClass.VERB, (("glad", PosClass.VERB), ("_", PosClass.ADJECTIVE))),
+        EmotionBaseWord(" ", EmotionClass.ANGER, PosClass.ADJECTIVE),
+    ]
+    pos, neg = compile_emotion_lexicon(bases)
+    assert pos == {BeliefTuple("glad", N.EMO_POS, BeliefSource.EMOTION_BASE, PosClass.ADJECTIVE)}
+    assert neg == set()
+
+
 def test_emotion_conflicting_word_dropped_from_both():
     bases = [
         EmotionBaseWord("torn", EmotionClass.JOY, PosClass.ADJECTIVE),
@@ -352,6 +374,35 @@ def test_emotion_file_extension_needs_matching_base(tmp_path):
     path.write_text("cheerful\tJoy\tadjective\tbase\nscared\tFear\tadjective\textension\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError):
         parse_emotion_file(path)
+    # The nearest base row decides, and there must be one.
+    for rows, message in [
+        ("cheerful\tJoy\tadjective\tbase\nangry\tAnger\tadjective\tbase\nglad\tJoy\tadjective\textension\n", "3: extension class Joy does not match base Anger"),
+        ("glad\tJoy\tadjective\textension\n", "1: extension row before any base row"),
+    ]:
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as exc:
+            parse_emotion_file(path)
+        assert str(exc.value) == f"{path}:{message}"
+
+
+def test_emotion_file_rejects_an_unknown_kind_at_its_line(tmp_path):
+    path = tmp_path / "emotions.tsv"
+    path.write_text("cheerful\tJoy\tadjective\tbase\nglad\tJoy\tadjective\tbasis\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as exc:
+        parse_emotion_file(path)
+    assert str(exc.value) == f"{path}:2: kind must be base or extension, got 'basis'"
+
+
+def test_word_list_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "exclusions.txt"
+    path.write_text("# excluded\n\n  bread \n \t\n#x\nSolid_Food\n", encoding="utf-8")
+    assert load_word_list(path) == ["bread", "Solid_Food"]
+
+
+def test_emotion_file_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "emotions.tsv"
+    path.write_text("# word\tclass\tpos\tkind\n\ncheerful\tJoy\tadjective\tbase\n \t \n#x\nglad\tJoy\tadjective\textension\n", encoding="utf-8")
+    assert parse_emotion_file(path) == [EmotionBaseWord("cheerful", EmotionClass.JOY, PosClass.ADJECTIVE, (("glad", PosClass.ADJECTIVE),))]
 
 
 # --- serialization -----------------------------------------------------------
@@ -369,8 +420,10 @@ def test_deserialize_reports_bad_lines():
     with pytest.raises(LexiconFormatError) as exc:
         loads_lexicon("#mea-lexicon v1\nmeatball\tfood\n")
     assert exc.value.line_no == 2
-    with pytest.raises(LexiconFormatError):
-        loads_lexicon("no header\n")
+    for text in ("no header\n", ""):
+        with pytest.raises(LexiconFormatError) as exc:
+            loads_lexicon(text)
+        assert (str(exc.value), exc.value.line_no) == ("<string>:1: missing header '#mea-lexicon v1'", 1)
 
 
 @pytest.mark.parametrize(
@@ -484,7 +537,7 @@ ENTRY_KINDS = {
 def valid_tuple_lists(draw):
     """The tuples of a valid lexicon in a drawn order, some repeated: per word, food
     or not, and at most one node of each polarity family."""
-    words = draw(st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=4), max_size=12, unique=True))
+    words = draw(st.lists(st.text(alphabet="abcdefgß", min_size=1, max_size=4), max_size=12, unique=True))
     families = ((N.FOOD, None), (N.EMO_POS, N.EMO_NEG), (N.EXPERIENCE_FEELING_POS, N.EXPERIENCE_FEELING_NEG))
     tuples = []
     for word in words:
@@ -495,7 +548,7 @@ def valid_tuple_lists(draw):
     return draw(st.permutations(tuples + repeats))
 
 
-@given(valid_tuple_lists(), st.text(alphabet="abcdefgA", min_size=1, max_size=4))
+@given(valid_tuple_lists(), st.text(alphabet="abcdefgAẞ", min_size=1, max_size=4))
 @settings(max_examples=150)
 def test_lexicon_index_matches_a_scan_of_its_tuples(tuples, probe):
     lex = BeliefLexicon(tuples)

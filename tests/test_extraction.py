@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -159,7 +159,7 @@ def test_parse_raises_only_conllu_error_on_arbitrary_bytes(tmp_path_factory, dat
     except ConlluError as exc:
         expected = exc
     try:
-        actual = [[astuple(token) for token in s.tokens] for s in parse_conllu(path)]
+        actual = [[tuple(token) for token in s.tokens] for s in parse_conllu(path)]
     except ConlluError as exc:
         assert isinstance(expected, ConlluError), f"reference read {expected}, parse_conllu raised {exc}"
         assert (str(exc), exc.line_no) == (str(expected), expected.line_no)
@@ -211,7 +211,7 @@ def test_a_token_is_an_immutable_hashable_value():
     fields = {"index": 1, "surface": "I", "lemma": "i", "pos_tag": "PRP", "head": 2, "deprel": "nsubj"}
     token = Token(**fields)
     assert token == Token(1, "I", "i", "PRP", 2, "nsubj")
-    assert astuple(token) == tuple(fields.values())
+    assert tuple(token) == tuple(fields.values())
     assert token != Token(**fields | {"head": 0})
     assert hash(token) == hash(Token(**fields))
     assert len({token, Token(**fields)}) == 1

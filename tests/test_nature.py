@@ -14,6 +14,9 @@ from mea.nature import (
     NatureNodeId,
     NoOppositeError,
     DEFAULT_EDGE_TABLE,
+    EMOTION_NODES,
+    FEELING_NODES,
+    PERCEPTION_NODES,
     default_graph,
     find_cycle,
     load_graph_file,
@@ -75,7 +78,9 @@ digraphs = st.integers(1, 8).flatmap(
 def test_find_cycle_agrees_with_kahn(graph):
     n, edges = graph
     successors = {v: sorted(t for h, t in edges if h == v) for v in range(n)}
-    cycle = find_cycle(range(n), successors.__getitem__)
+    asked = Counter()
+    cycle = find_cycle(range(n), lambda v: asked.update([v]) or successors[v])
+    assert max(asked.values()) == 1  # a finished node is never walked again
     # A node without successors lies on no cycle: walking only from the others, in order, meets the same one.
     assert find_cycle(sorted(v for v in range(n) if successors[v]), successors.__getitem__) == cycle
     if kahn_acyclic(n, edges):
@@ -145,6 +150,9 @@ def test_duplicate_edges_rejected_at_construction():
     ]
     with pytest.raises(ValueError):
         NatureGraph(edges)
+    # A repeated pair that is not its head's first edge: action_pos's third tail.
+    with pytest.raises(ValueError, match="duplicate edge action_pos -> social_action"):
+        NatureGraph([*default_graph().edges, NatureEdge(N.ACTION_POS, N.SOCIAL_ACTION, False)])
 
 
 def test_opposite_node_swaps_polarity():
@@ -162,6 +170,28 @@ def test_opposite_node_is_an_involution():
                 opposite_node(node)
         else:
             assert opposite_node(opposite_node(node)) is node
+
+
+def test_the_polar_table_is_written_out():
+    """Each opposite by name: an involution that pairs the wrong nodes still fails here."""
+    opposites = {
+        N.EXPERIENCE_FEELING_POS: N.EXPERIENCE_FEELING_NEG,
+        N.EXPERIENCE_FEELING_NEG: N.EXPERIENCE_FEELING_POS,
+        N.EMO_POS: N.EMO_NEG,
+        N.EMO_NEG: N.EMO_POS,
+        N.NEED_FOOD_POS: N.NEED_FOOD_NEG,
+        N.NEED_FOOD_NEG: N.NEED_FOOD_POS,
+        N.ACTION_POS: N.ACTION_NEG,
+        N.ACTION_NEG: N.ACTION_POS,
+    }
+    for node, opposite in opposites.items():
+        assert opposite_node(node) is opposite
+    for node in (N.FOOD, N.PAST_EXPERIENCE, N.MENTAL_ACTION, N.PHYSICAL_ACTION, N.SOCIAL_ACTION):
+        with pytest.raises(NoOppositeError, match=f"node {node.value} has no polar opposite"):
+            opposite_node(node)
+    assert FEELING_NODES == (N.EXPERIENCE_FEELING_POS, N.EXPERIENCE_FEELING_NEG)
+    assert EMOTION_NODES == (N.EMO_POS, N.EMO_NEG)
+    assert PERCEPTION_NODES == {N.FOOD, N.EXPERIENCE_FEELING_POS, N.EXPERIENCE_FEELING_NEG, N.EMO_POS, N.EMO_NEG}
 
 
 def test_transmitting_tails():
@@ -240,6 +270,15 @@ def test_a_graph_file_self_loop_is_an_error_at_its_line(tmp_path):
         load_graph_file(path)
     assert exc.value.line_no == 1
     assert str(exc.value) == f"{path}:1: self-loop on emo_pos"
+
+
+def test_a_graph_file_duplicate_edge_is_an_error_of_the_whole_file(tmp_path):
+    path = tmp_path / "graph.tsv"
+    path.write_text("emo_pos\tneed_food_pos\t1\nemo_pos\tneed_food_pos\t0\n", encoding="utf-8")
+    with pytest.raises(GraphFileError) as exc:
+        load_graph_file(path)
+    assert exc.value.line_no == 0
+    assert str(exc.value) == f"{path}:0: duplicate edge emo_pos -> need_food_pos"
 
 
 def test_a_graph_file_naming_few_nodes_still_holds_all_thirteen(tmp_path):

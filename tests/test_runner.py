@@ -292,6 +292,18 @@ def test_every_row_of_a_duplicated_csv_id_is_quarantined(data_dir, tmp_path):
     assert (out / "failures.log").read_text().splitlines() == ["7\tId appears in 2 rows"] * 2
 
 
+def test_csv_ids_naming_a_run_file_are_quarantined(data_dir, tmp_path):
+    rows = [(rid, "I bought this brand.") for rid in ("index", "stats", "failures")]
+    stats, failures = run_csv_corpus(data_dir, tmp_path, rows, {rid: rid for rid, _ in rows})
+    assert failures == [("index", "Id names the run's own index.json"), ("stats", "Id names the run's own stats.json")]
+    assert (stats.total_reviews, stats.reviews_with_events, stats.failed_reviews) == (1, 1, 2)
+    out = tmp_path / "run" / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["failures.json", "failures.log", "index.json", "stats.json"]
+    assert json.loads((out / "failures.json").read_text())["review_id"] == "failures"
+    assert [e["review_id"] for e in json.loads((out / "index.json").read_text())] == ["failures"]
+    assert json.loads((out / "stats.json").read_text())["failed_reviews"] == 2
+
+
 def test_failures_log_has_one_line_per_failure(data_dir, tmp_path):
     unsafe = ["a\nb", "tab\there", "c\x851", "bell\x07"]
     rows = [("1", "I bought this brand.")] + [(rid, "I bought this brand.") for rid in unsafe]
@@ -310,8 +322,9 @@ _ID_CHARS = (
 
 
 @settings(max_examples=30, deadline=None)
-@given(ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=8), min_size=1, max_size=4))
+@given(ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=8) | st.sampled_from(["index", "stats", "failures"]), min_size=1, max_size=4))
 @example(ids=["../up", "a\\b", "..", "\x85x"])  # random ids seldom climb out, so one always tries
+@example(ids=["index", "stats", "failures"])  # the ids whose <id>.json a run writes for itself, and one it does not
 def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
     parse_1 = (DATA / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
@@ -334,6 +347,9 @@ def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
         run_pipeline(reviews, parses, default_graph(), lexicon, make_replay_client(), out, write_dot=True, failures=failures)
         written = {p.relative_to(root).as_posix() for p in root.rglob("*") if out not in p.parents}
         assert written == inputs | {"run", "run/deep", "run/deep/out"}
+        for review in reviews:  # each graph is its own review's, not overwritten by a run file
+            if review.review_id in parses:
+                assert json.loads((out / f"{review.review_id}.json").read_text(encoding="utf-8"))["review_id"] == review.review_id
 
 
 def test_non_utf8_parse_file_quarantines_only_its_review(data_dir, tmp_path):
