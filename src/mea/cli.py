@@ -16,7 +16,6 @@ from .llm import ClientConfig, ClientMode, LlmClient
 from .nature import default_graph, load_graph_file, validate_graph
 from .runner import (
     INDEX_FILE,
-    OrphanParseError,
     ingest_reviews,
     load_parse_dir,
     render_report,
@@ -88,10 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = load_graph_file(args.graph) if args.graph else default_graph()
     validate_graph(graph)
     with closing(_make_client(args)) as client:
-        try:
-            stats = run_pipeline(reviews, parses, graph, lexicon, client, args.out, write_dot=args.dot, failures=failures)
-        except OrphanParseError as exc:
-            raise OrphanParseError(f"{args.parses}: {exc}") from None
+        stats = run_pipeline(reviews, parses, graph, lexicon, client, args.out, write_dot=args.dot, failures=failures)
     print(
         f"{stats.total_reviews} reviews, {stats.reviews_with_events} with events, "
         f"{stats.valid_dags} valid graphs, {stats.failed_reviews} failed"
@@ -100,6 +96,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
+    if args.llm_filter and args.classifier == ClientMode.HEURISTIC.value:
+        raise ValueError("--llm-filter needs --classifier live or --classifier replay; heuristic cannot filter")
     exclusions = belief.load_word_list(args.exclusions) if args.exclusions else []
     food = belief.compile_food_lexicon(args.wordnet, exclusions)
     feeling_pos, feeling_neg = belief.compile_feeling_lexicon(belief.parse_sense_file(args.sentiwordnet))

@@ -8,6 +8,7 @@ a guess.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -34,6 +35,8 @@ API_KEY_ENV = "MEA_LLM_API_KEY"
 MODEL_ENV = "MEA_LLM_MODEL"
 DEFAULT_MODEL = "glm-4"
 MAX_IN_FLIGHT = 4  # concurrent requests per client
+REQUEST_TIMEOUT_S = 30.0  # per live request
+RETRIES = 2  # further attempts after a live request's transport error
 
 _LABEL_TO_CLASS = {c.value.lower(): c for c in ActionClass}
 
@@ -91,8 +94,9 @@ class PromptTemplate:
         return self.template_text.replace("{input}", value)
 
 
+@functools.cache
 def load_template(name: str) -> PromptTemplate:
-    """Load a bundled template."""
+    """Load a bundled template, once per name."""
     labels, keep = _TEMPLATE_LABELS[name]
     text = resources.files("mea").joinpath(f"templates/{name}.txt").read_text(encoding="utf-8")
     return PromptTemplate(name, text.strip(), labels, keep)
@@ -103,8 +107,6 @@ class ClientConfig:
     endpoint: str = ""
     api_key: str = ""
     model: str = DEFAULT_MODEL
-    timeout: float = 30.0
-    retries: int = 2
     mode: ClientMode = ClientMode.LIVE
     fixture_path: Path | None = None
     cache_path: Path | None = None
@@ -176,7 +178,7 @@ def _http_transport(config: ClientConfig, prompt: str) -> str:
         "temperature": 0,
     }
     try:
-        response = requests.post(config.endpoint, json=body, headers=headers, timeout=config.timeout)
+        response = requests.post(config.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
         response.raise_for_status()
     except requests.RequestException as exc:  # a bad URL is one too, though it is also a ValueError
         raise LlmTransportError(str(exc)) from exc
@@ -236,9 +238,10 @@ def _when_done(futures: Sequence[Future], callback: Callable[[], None]) -> None:
 class LlmClient:
     """Thread-safe completion client with an append-only response cache.
 
-    Live requests run on a pool of MAX_IN_FLIGHT threads, and a cache key has
-    at most one request in flight: a caller that misses while it is pending
-    waits for that request instead of sending its own.
+    Live requests run on a pool of MAX_IN_FLIGHT threads. One table maps each
+    cache key to its label or to the one request in flight for it: a caller
+    that misses while it is in flight waits for it instead of sending its own,
+    and a failed request leaves the table, so a later caller sends it again.
     """
 
     def __init__(
@@ -252,30 +255,23 @@ class LlmClient:
             if url.scheme not in ("http", "https") or not url.netloc:
                 raise ValueError(f"{ENDPOINT_ENV} must be an http(s):// URL, got {config.endpoint!r}")
         self._transport = transport or _http_transport
-        self._templates: dict[str, PromptTemplate] = {}
         self._lock = threading.Lock()
         self._requests = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="mea-llm")
-        self._pending: dict[str, Future[str]] = {}  # requests in flight, by cache key
         self._joins: Counter[str] = Counter()  # callers waiting on another's request, by cache key
         self.calls = 0
         self.cache_hits = 0
-        # Labels by cache key: replay answers from the fixture alone; live mode from its own cache file.
-        self._cache: dict[str, str] = {}
+        # Replay answers from the fixture alone; live mode from its own cache file.
+        self._cache: dict[str, str | Future[str]] = {}
         if config.mode is ClientMode.REPLAY:
             self._cache = _load_entries(config.fixture_path)
         elif config.mode is ClientMode.LIVE and config.cache_path is not None and Path(config.cache_path).exists():
             self._cache = _load_entries(Path(config.cache_path))
 
-    def template(self, name: str) -> PromptTemplate:
-        if name not in self._templates:
-            self._templates[name] = load_template(name)
-        return self._templates[name]
-
     def close(self) -> None:
         """Cancel the requests not yet started and stop the request threads once the rest are done."""
         self._requests.shutdown(cancel_futures=True)
-        with self._lock:  # a started request leaves _pending itself, so the rest were cancelled
-            self._pending.clear()
+        with self._lock:  # a started request settles its key itself, so the requests left were cancelled
+            self._cache = {key: label for key, label in self._cache.items() if isinstance(label, str)}
             self._joins.clear()
 
     def stats(self) -> tuple[int, int]:
@@ -317,7 +313,7 @@ class LlmClient:
                 with self._lock:
                     self.calls += 1
                 return heuristic_classifier(text)
-            label = self._lookup(self.template("classify_action"), text)
+            label = self._lookup(load_template("classify_action"), text)
         except Exception as exc:  # the caller decides, per text, what an error means
             return exc
         return label if isinstance(label, Future) else _LABEL_TO_CLASS[label]
@@ -330,7 +326,7 @@ class LlmClient:
         """
         if not words:
             raise ValueError("words must be non-empty")
-        template = self.template(template_name)
+        template = load_template(template_name)
         if template.keep_label is None:
             raise ValueError(f"template {template.name!r} is not a filter template")
         if self.config.mode is ClientMode.HEURISTIC:
@@ -351,20 +347,20 @@ class LlmClient:
         return kept
 
     def _lookup(self, template: PromptTemplate, input_text: str) -> str | Future[str]:
-        """Count a call; return the cached label, else the one request for its key, started if none is pending."""
+        """Count a call; return the cached label, else the one request for its key, started if none is in flight."""
         key = cache_key(template.name, input_text, self.config.model)
         with self._lock:
             self.calls += 1
-            cached = self._cache.get(key)
-            if cached is not None:
+            answer = self._cache.get(key)
+            if isinstance(answer, str):
                 self.cache_hits += 1
-                return cached
+                return answer
             if self.config.mode is not ClientMode.REPLAY:
-                if key in self._pending:
-                    self._joins[key] += 1
+                if answer is None:
+                    answer = self._cache[key] = self._requests.submit(self._fetch, key, template, input_text)
                 else:
-                    self._pending[key] = self._requests.submit(self._fetch, key, template, input_text)
-                return self._pending[key]
+                    self._joins[key] += 1
+                return answer
         raise ReplayMissError(
             f"no fixture entry for template={template.name!r} input={input_text!r} "
             f"model={self.config.model!r}"
@@ -381,12 +377,11 @@ class LlmClient:
                 )
         except Exception:
             with self._lock:  # not cached, so a later caller requests it again
-                del self._pending[key]
+                del self._cache[key]
                 self._joins.pop(key, None)
             raise
         line = (key, template.name, input_text, self.config.model, raw, label, time.time())
         with self._lock:
-            del self._pending[key]
             self.cache_hits += self._joins.pop(key, 0)
             self._cache[key] = label
             if self.config.cache_path is not None:
@@ -396,11 +391,11 @@ class LlmClient:
 
     def _request(self, prompt: str) -> str:
         last: LlmTransportError | None = None
-        for attempt in range(self.config.retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 return self._transport(self.config, prompt)
             except LlmTransportError as exc:
                 last = exc
-                if attempt < self.config.retries:
+                if attempt < RETRIES:
                     time.sleep(0.2 * (attempt + 1))
         raise last

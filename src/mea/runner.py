@@ -13,7 +13,7 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, as_completed, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import InputFileError, read_text
 from .belief import BeliefLexicon
@@ -69,15 +69,6 @@ class CorpusStats:
     pattern_counts: dict[str, int] = field(default_factory=lambda: {p: 0 for p in PATTERN_IDS})
     classifier_calls: int = 0
     classifier_cache_hits: int = 0
-
-
-class _Prepared(NamedTuple):  # a review built up to its classifier calls
-    dag: MeaDag
-    texts: list[str]  # what its action events ask the classifier, in event order
-
-
-class OrphanParseError(ValueError):
-    """Parse files, named <stem>.conllu, whose stems name no ingested or skipped review."""
 
 
 class ReportValidationError(Exception):
@@ -176,10 +167,10 @@ def load_parse_dir(
 ) -> dict[str, list[ParsedSentence]]:
     """Parse every *.conllu entry in a directory, by name, into {file stem: its sentences}.
 
-    A file is one review's parse and its stem is the review id. An entry that
-    fails to parse or to read, e.g. one with a `# review_id` other than its stem
-    or a directory, quarantines that review instead of aborting the batch; a
-    file without sentences adds none.
+    A file is one review's parse and its stem is the review id; an empty file
+    is a review without sentences. An entry that fails to parse or to read,
+    e.g. one with a `# review_id` other than its stem or a directory,
+    quarantines that review instead of aborting the batch.
     """
     parse_dir = Path(parse_dir)
     if not parse_dir.is_dir():
@@ -194,8 +185,7 @@ def load_parse_dir(
             error = exc if isinstance(exc, ConlluError) else ConlluError(prefix + name, 0, exc.strerror)
             _skip(failures, stem, f"parse error: {error}")
             continue
-        if sentences:
-            by_review[stem] = sentences
+        by_review[stem] = sentences
     return by_review
 
 
@@ -224,14 +214,15 @@ def run_pipeline(
     """Build one graph per review with sentences, write outputs and stats.
 
     Graphs are built in the calling thread; workers is accepted and has no
-    effect. Per-review failures are logged and counted, never abort the batch.
-    Classifier verdicts that fail to parse skip just the affected event.
+    effect. Per-review failures are logged and counted, never abort the batch:
+    a parse whose stem names no ingested or skipped review is quarantined
+    under that stem before any graph is built. Classifier verdicts that fail
+    to parse skip just the affected event.
     """
     if failures is None:
         failures = []
-    unknown = sorted(set(parses) - {r.review_id for r in reviews} - {rid for rid, _ in failures})
-    if unknown:
-        raise OrphanParseError("parse files name no ingested or skipped review: " + ", ".join(f"{r}.conllu" for r in unknown))
+    for stem in sorted(set(parses) - {r.review_id for r in reviews} - {rid for rid, _ in failures}):
+        _skip(failures, stem, f"parse file {stem}.conllu names no ingested or skipped review")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,11 +233,11 @@ def run_pipeline(
     index_entries = []
     errors: dict[int, Exception] = {}
 
-    def finish(position: int, review: _Prepared, answers: list[ActionClass | Exception]) -> None:
-        by_text = dict(zip(review.texts, answers))
+    def finish(position: int, dag: MeaDag, answers: list[ActionClass | Exception]) -> None:
+        in_event_order = iter(answers)  # link_actions asks about the events needs_classifier names, in order
 
         def classify(text: str) -> ActionClass | None:
-            answer = by_text[text]
+            answer = next(in_event_order)
             if isinstance(answer, LlmParseError):
                 log.warning("unparseable classifier verdict for %r (%r); skipping event", text, answer.raw_response)
                 return None
@@ -254,9 +245,9 @@ def run_pipeline(
                 raise answer
             return answer
 
-        review_id = review.dag.review_id
+        review_id = dag.review_id
         try:
-            dag = finish_mea_dag(review.dag, graph, classify)
+            finish_mea_dag(dag, graph, classify)
             if dag.events:
                 _write_file(f"{out}{review_id}.json", dumps_dag(dag))
                 if write_dot:
@@ -279,7 +270,7 @@ def run_pipeline(
 
     # Reviews whose texts wait on the endpoint, by their answers' future; each
     # is finished once answered, in any order, so a slow request holds back no other.
-    waiting: dict[Future, tuple[int, _Prepared]] = {}
+    waiting: dict[Future, tuple[int, MeaDag]] = {}
 
     def finish_answered(answered: Iterable[Future]) -> None:
         for answers in answered:
@@ -288,15 +279,14 @@ def run_pipeline(
     for position, record in enumerate(work):
         try:
             dag = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
-            review = _Prepared(dag, [event.text for event in dag.events if needs_classifier(event)])
-            answers = client.classify_action_events(review.texts)
+            answers = client.classify_action_events([event.text for event in dag.events if needs_classifier(event)])
         except Exception as exc:  # quarantined per review
             errors[position] = exc
             continue
         if not isinstance(answers, Future):
-            finish(position, review, answers)
+            finish(position, dag, answers)
             continue
-        waiting[answers] = (position, review)
+        waiting[answers] = (position, dag)
         if len(waiting) >= OPEN_REVIEWS:
             finish_answered(wait(waiting, return_when=FIRST_COMPLETED).done)
     finish_answered(as_completed(waiting))

@@ -79,17 +79,28 @@ def test_missing_parses_directory_is_fatal(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
-def test_parse_file_naming_no_review_is_fatal_and_named(tmp_path):
+@pytest.mark.parametrize("form", ["well-formed", "malformed", "empty"])
+def test_parse_file_naming_no_review_is_quarantined_and_named(tmp_path, form):
     parses = tmp_path / "parses"
     shutil.copytree(DATA / "corpus" / "parses", parses)
-    orphan = (parses / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n")
-    (parses / "999.conllu").write_text(orphan, encoding="utf-8")
-    args = run_args(tmp_path / "out")
+    orphan = parses / "999.conllu"
+    if form == "well-formed":
+        well_formed = (parses / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n")
+        orphan.write_text(well_formed, encoding="utf-8")
+        reason = "parse file 999.conllu names no ingested or skipped review"
+    elif form == "malformed":
+        orphan.write_text("1\tfoo\n", encoding="utf-8")
+        reason = f"parse error: {orphan}:1: expected 10 tab-separated fields, got 2"
+    else:
+        orphan.write_text("", encoding="utf-8")
+        reason = "parse file 999.conllu names no ingested or skipped review"
+    out = tmp_path / "out"
+    args = run_args(out)
     args[args.index("--parses") + 1] = str(parses)
-    result = run_cli_process(args)
-    assert result.returncode == 1
-    assert f"{parses}: parse files name no ingested or skipped review: 999.conllu" in result.stderr
-    assert not (tmp_path / "out").exists()
+    assert main(args) == 2
+    assert (out / "failures.log").read_text(encoding="utf-8").splitlines() == [f"999\t{reason}"]
+    graphs = sorted(int(p.stem) for p in out.glob("*.json") if p.stem not in ("index", "stats"))
+    assert graphs == list(range(1, 21))
 
 
 @pytest.mark.parametrize("entry, reason", [("directory", "Is a directory"), ("dangling link", "No such file or directory")])
@@ -163,6 +174,17 @@ def test_compile_lexicon_with_replay_filter(tmp_path):
     assert "gleeful" not in words  # dropped by the emotion filter verdict
     assert {"meatball", "bitter", "cheerful", "adore"} <= words
     assert "mess" not in words
+
+
+@pytest.mark.parametrize("classifier", [[], ["--classifier", "heuristic"]], ids=["default", "heuristic"])
+def test_llm_filter_without_a_model_classifier_is_fatal_before_reading_dumps(tmp_path, caplog, classifier):
+    out = tmp_path / "lexicon.tsv"
+    missing = str(tmp_path / "missing.tsv")  # reading any dump would fail with another message
+    args = ["compile-lexicon", "--wordnet", missing, "--sentiwordnet", missing, "--emotions", missing, "--llm-filter"]
+    assert main(args + classifier + ["--out", str(out)]) == 1
+    assert "--llm-filter needs --classifier live or --classifier replay" in caplog.text
+    assert "missing.tsv" not in caplog.text
+    assert not out.exists()
 
 
 def test_compile_lexicon_without_filter(tmp_path):

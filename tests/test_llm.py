@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import threading
@@ -7,6 +8,7 @@ from concurrent.futures import Future
 import pytest
 import requests
 
+import mea.llm
 from conftest import DATA, make_replay_client
 from mea.dag import ActionClass
 from mea.llm import (
@@ -41,9 +43,9 @@ class RecordingTransport:
         raise LlmTransportError("no canned response")
 
 
-def live_client(transport, tmp_path=None, **overrides):
+def live_client(transport, tmp_path=None):
     cache = tmp_path / "cache.jsonl" if tmp_path else None
-    config = ClientConfig(endpoint="http://example.invalid/v1", cache_path=cache, **overrides)
+    config = ClientConfig(endpoint="http://example.invalid/v1", cache_path=cache)
     return LlmClient(config, transport=transport)
 
 
@@ -54,6 +56,9 @@ def test_bundled_templates_load():
         template = load_template(name)
         assert template.template_text.count("{input}") == 1
         assert template.expected_labels
+        assert load_template(name) is template  # every client shares it
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            template.template_text = "{input}"
 
 
 def test_template_requires_single_slot():
@@ -61,6 +66,11 @@ def test_template_requires_single_slot():
         PromptTemplate("classify_action", "no slot here", frozenset({"mental"}))
     with pytest.raises(ValueError):
         PromptTemplate("classify_action", "{input} and {input}", frozenset({"mental"}))
+
+
+def test_template_requires_expected_labels():
+    with pytest.raises(ValueError, match="expected_labels must be non-empty"):
+        PromptTemplate("classify_action", "{input}", frozenset())
 
 
 def test_unknown_template_name_rejected():
@@ -93,6 +103,8 @@ class FakeResponse:
         pass
 
     def json(self):
+        if isinstance(self.doc, Exception):  # a body that is not JSON
+            raise self.doc
         return self.doc
 
 
@@ -100,13 +112,27 @@ def test_http_transport_posts_temperature_zero_and_reads_the_completion(monkeypa
     posted = []
 
     def post(url, json, headers, timeout):
-        posted.append(json)
-        return FakeResponse({"choices": [{"message": {"content": "Physical"}}]})
+        posted.append((json, timeout))
+        choices = [{"message": {"content": "Physical"}}, {"message": {"content": "Social"}}]
+        return FakeResponse({"choices": choices})
 
     monkeypatch.setattr(requests, "post", post)
     assert _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt") == "Physical"
-    assert posted[0]["temperature"] == 0
-    assert posted[0]["messages"] == [{"role": "user", "content": "prompt"}]
+    body, timeout = posted[0]
+    assert body["temperature"] == 0
+    assert body["messages"] == [{"role": "user", "content": "prompt"}]
+    assert timeout == 30.0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"choices": []}, {"choices": "none"}, ValueError("Expecting value")],
+    ids=["no-choice", "choices-not-a-list", "not-json"],
+)
+def test_http_transport_reports_a_misshapen_body_as_malformed(monkeypatch, body):
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse(body))
+    with pytest.raises(LlmTransportError, match="malformed completion response"):
+        _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt")
 
 
 def test_http_transport_reports_a_body_without_choices_as_malformed(monkeypatch):
@@ -184,6 +210,15 @@ _ENTRY = {
     "parsed_label": "physical",
     "timestamp": 0.0,
 }
+
+
+def test_cache_rejects_an_unknown_template_at_its_line(tmp_path):
+    path = tmp_path / "fixture.jsonl"
+    line = {**_ENTRY, "template": "mystery", "key": cache_key("mystery", "I buy it", "glm-4")}
+    path.write_text(json.dumps(_ENTRY) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError, match="unknown template 'mystery'") as exc:
+        LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
+    assert exc.value.line_no == 2
 
 
 @pytest.mark.parametrize(
@@ -303,11 +338,17 @@ def test_unparseable_response_is_an_error_not_a_guess(tmp_path):
 
 
 def test_transport_errors_are_retried_then_raised(tmp_path):
-    transport = RecordingTransport({})
-    client = live_client(transport, tmp_path, retries=2)
+    transport, started = RecordingTransport({}), []
+
+    def timed(config, prompt):
+        started.append(time.monotonic())
+        return transport(config, prompt)
+
+    client = live_client(timed, tmp_path)
     with pytest.raises(LlmTransportError):
         client.classify_action_event("I vanish")
     assert len(transport.calls) == 3
+    assert started[1] - started[0] >= 0.2 and started[2] - started[1] >= 0.4  # a growing pause before each retry
 
 
 # --- filtering ---------------------------------------------------------------
@@ -375,14 +416,16 @@ def test_filter_candidates_requests_its_misses_together(tmp_path):
     assert client.stats() == (len(words) + 1, 1)
 
 
-def test_filter_candidates_raises_the_first_failing_words_error(tmp_path):
+def test_filter_candidates_raises_the_first_failing_words_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.llm, "RETRIES", 0)
+
     def transport(config, prompt):
         for word in ("gloomy", "merry"):
             if f"Word: {word}" in prompt:
                 raise LlmTransportError(f"refused {word}")
         return "yes"
 
-    client = live_client(transport, tmp_path, retries=0)
+    client = live_client(transport, tmp_path)
     with pytest.raises(LlmTransportError, match="refused gloomy"):
         client.filter_candidates(["glad", "gloomy", "merry", "sad"], "filter_emotion")
 
@@ -393,6 +436,20 @@ def test_heuristic_exemplar_verbs():
     assert heuristic_classifier("I versify about soup") is ActionClass.MENTAL
     assert heuristic_classifier("I rent a booth") is ActionClass.SOCIAL
     assert heuristic_classifier("I wash the apples") is ActionClass.PHYSICAL
+
+
+_KEYWORDS = {
+    ActionClass.MENTAL: "analyze versify think consider decide expect want wonder remember feel believe love hate",
+    ActionClass.SOCIAL: "denounce rent recommend tell share ask thank invite give serve",
+    ActionClass.PHYSICAL: "wash peel cook eat buy drink slice bake push pour freeze mix go pay wait try",
+}
+
+
+@pytest.mark.parametrize("action_class", list(_KEYWORDS))
+def test_heuristic_keyword_tables(action_class):
+    for word in _KEYWORDS[action_class].split():  # a later keyword of another class must not decide
+        later = "tell" if action_class is ActionClass.PHYSICAL else "eat"
+        assert heuristic_classifier(f"I {word} and {later}") is action_class, word
 
 
 def test_heuristic_strips_quotes_and_brackets_around_a_keyword():
@@ -424,9 +481,10 @@ class GatedTransport(RecordingTransport):
         return super().__call__(config, prompt)
 
 
-def test_classify_action_events_requests_each_distinct_miss_once(tmp_path):
+def test_classify_action_events_requests_each_distinct_miss_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.llm, "RETRIES", 0)
     transport = GatedTransport({"I wash": "physical", "I tell": "social", "I blorp": "no idea"})
-    client = live_client(transport, tmp_path, retries=0)
+    client = live_client(transport, tmp_path)
     transport.gate.set()
     assert client.classify_action_event("I tell friends") is ActionClass.SOCIAL
     transport.gate.clear()  # every lookup below happens while its request is pending
@@ -446,9 +504,10 @@ def test_classify_action_events_requests_each_distinct_miss_once(tmp_path):
     assert client.stats() == (1 + len(texts), 2)
 
 
-def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_path):
+def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.llm, "RETRIES", 0)
     transport = GatedTransport({})
-    client = live_client(transport, tmp_path, retries=0)
+    client = live_client(transport, tmp_path)
     answers = client.classify_action_events(["I vanish", "I vanish"])
     transport.gate.set()
     first, repeat = answers.result(timeout=10)
@@ -483,12 +542,13 @@ _AGREEMENT_CASES = {  # outcome -> (a fresh client, the text it classifies)
     "heuristic-whitespace-only": (lambda: LlmClient(ClientConfig(mode=ClientMode.HEURISTIC)), "  "),
     "live-success": (lambda: live_client(RecordingTransport({"I wash": " Physical \n"})), "I wash the apples"),
     "live-unparseable": (lambda: live_client(RecordingTransport({"I blorp": "probably physical"})), "I blorp"),
-    "live-transport-error": (lambda: live_client(RecordingTransport({}), retries=1), "I vanish"),
+    "live-transport-error": (lambda: live_client(RecordingTransport({})), "I vanish"),
 }
 
 
 @pytest.mark.parametrize("outcome", list(_AGREEMENT_CASES))
-def test_one_text_gets_what_a_batch_of_one_yields(outcome):
+def test_one_text_gets_what_a_batch_of_one_yields(outcome, monkeypatch):
+    monkeypatch.setattr(mea.llm, "RETRIES", 1)
     make_client, text = _AGREEMENT_CASES[outcome]
     single, batch = make_client(), make_client()
     try:
@@ -575,7 +635,8 @@ def test_close_ends_the_request_threads(tmp_path):
     assert client.classify_action_event("I eat soup") is ActionClass.PHYSICAL  # cached labels still answer
 
 
-def test_close_sends_only_the_requests_already_running(tmp_path, caplog):
+def test_close_sends_only_the_requests_already_running(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(mea.llm, "RETRIES", 0)
     sent, started, gate = [], threading.Semaphore(0), threading.Event()
 
     def transport(config, prompt):
@@ -584,7 +645,7 @@ def test_close_sends_only_the_requests_already_running(tmp_path, caplog):
         assert gate.wait(timeout=10), "gate never opened"
         return "physical"
 
-    client = live_client(transport, tmp_path, retries=0)
+    client = live_client(transport, tmp_path)
     texts = [f"I eat dish {i}" for i in range(3 * MAX_IN_FLIGHT)]
     answers = client.classify_action_events(texts + texts[-1:])  # the repeat joins a queued request
     for _ in range(MAX_IN_FLIGHT):
@@ -613,5 +674,5 @@ def test_close_sends_only_the_requests_already_running(tmp_path, caplog):
     assert len(waiter_errors) == 1
     assert (type(waiter_errors[0]), str(waiter_errors[0])) == (LlmTransportError, str(cancelled[0]))
     assert "request cancelled" in str(waiter_errors[0])
-    assert client._pending == {}
+    assert not any(isinstance(answer, Future) for answer in client._cache.values())
     assert "exception calling callback" not in caplog.text

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import shutil
+import stat
 import tempfile
 import threading
 from collections import Counter
@@ -10,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mea.extraction
+import mea.llm
 import mea.runner
-from conftest import DATA, make_replay_client
+from conftest import DATA, make_replay_client, sentence
 from mea import InputFileError
 from mea.belief import load_lexicon
 from mea.extraction import Tense, classify_tense, extract_events
@@ -20,6 +24,7 @@ from mea.nature import default_graph
 from mea.runner import (
     ERROR_TYPES,
     ReportValidationError,
+    ReviewRecord,
     ingest_reviews,
     load_parse_dir,
     render_report,
@@ -126,6 +131,12 @@ def test_pipeline_writes_one_json_per_review_with_events(data_dir, tmp_path):
     index = json.loads((out / "index.json").read_text())
     assert len(index) == 20
     assert sum(1 for e in index if e["valid"]) == 9
+    for name in ("index.json", "stats.json"):  # written as json.dumps(..., indent=2) with a final newline
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {0o666 & ~umask}  # the mode open() gives
 
 
 def test_pipeline_is_deterministic_across_workers(data_dir, tmp_path):
@@ -192,19 +203,76 @@ def test_empty_corpus_yields_zero_stats(data_dir, tmp_path):
     assert stats.valid_dags == 0
 
 
-def test_unknown_parse_review_id_is_fatal(data_dir, tmp_path):
-    reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv")
-    parses = load_parse_dir(data_dir / "corpus" / "parses")
-    parses["999"] = parses["1"]
-    with pytest.raises(ValueError, match=r"parse files name no ingested or skipped review: 999\.conllu$"):
-        run_pipeline(
-            reviews,
-            parses,
-            default_graph(),
-            load_lexicon(data_dir / "lexicon.tsv"),
-            make_replay_client(),
-            tmp_path / "out",
-        )
+ORPHAN_PARSES = {  # form -> (the text of 999.conllu, the parse error it gives, if any)
+    "well-formed": (
+        (DATA / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n"),
+        None,
+    ),
+    "malformed": ("1\tfoo\n", ":1: expected 10 tab-separated fields, got 2"),
+    "empty": ("", None),
+}
+
+
+@pytest.mark.parametrize("form", list(ORPHAN_PARSES))
+def test_unknown_parse_review_id_is_quarantined(data_dir, tmp_path, form):
+    text, parse_error = ORPHAN_PARSES[form]
+    parse_dir = tmp_path / "parses"
+    shutil.copytree(data_dir / "corpus" / "parses", parse_dir)
+    (parse_dir / "999.conllu").write_text(text, encoding="utf-8")
+    failures = []
+    reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", failures)
+    parses = load_parse_dir(parse_dir, failures)
+    out = tmp_path / "out"
+    stats = run_pipeline(
+        reviews, parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), make_replay_client(), out, failures=failures
+    )
+    if parse_error:
+        reason = f"parse error: {parse_dir / '999.conllu'}{parse_error}"
+    else:
+        reason = "parse file 999.conllu names no ingested or skipped review"
+    assert failures == [("999", reason)]
+    assert stats.failed_reviews == 1
+    assert len([p for p in out.glob("*.json") if p.stem not in ("index", "stats")]) == 20
+
+
+def test_an_empty_parse_file_is_a_review_without_sentences(data_dir, tmp_path):
+    parse_dir = tmp_path / "parses"
+    shutil.copytree(data_dir / "corpus" / "parses", parse_dir)
+    (parse_dir / "5.conllu").write_text("", encoding="utf-8")
+    failures = []
+    reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", failures)
+    parses = load_parse_dir(parse_dir, failures)
+    assert parses["5"] == []
+    out = tmp_path / "out"
+    stats = run_pipeline(
+        reviews, parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), make_replay_client(), out, failures=failures
+    )
+    assert failures == [] and stats.reviews_with_events == 19
+    assert not (out / "5.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "live"])
+def test_each_action_event_is_linked_by_its_own_answer(data_dir, tmp_path, live_client, mode):
+    parse = [
+        sentence([("The", "the", "DT", 2, "det"), ("pizza", "pizza", "NN", 4, "nsubj"), ("is", "be", "VBZ", 4, "cop"),
+                  ("delicious", "delicious", "JJ", 0, "root")]),
+        sentence([("I", "i", "PRP", 2, "nsubj"), ("recommend", "recommend", "VBP", 0, "root"), ("it", "it", "PRP", 2, "dobj")]),
+        sentence([("I", "i", "PRP", 2, "nsubj"), ("wash", "wash", "VBP", 0, "root"), ("the", "the", "DT", 4, "det"),
+                  ("apples", "apple", "NNS", 2, "dobj")]),
+    ]
+    if mode == "heuristic":
+        client = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC))
+    else:
+        client = live_client(lambda config, prompt: "social" if "recommend" in prompt else "physical", None)
+    out = tmp_path / "out"
+    run_pipeline([ReviewRecord("r", "text")], {"r": parse}, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out)
+    doc = json.loads((out / "r.json").read_text(encoding="utf-8"))
+    assert {"social_action", "physical_action"} <= set(doc["activated"])
+    actions = [(link["event_id"], link["node"], link["justification"]) for link in doc["links"] if link["node"].endswith("_action")]
+    assert actions == [
+        ("e2", "social_action", {"type": "action_class", "class": "Social"}),
+        ("e4", "physical_action", {"type": "action_class", "class": "Physical"}),
+    ]
 
 
 def test_robust_corpus_quarantines_failures(data_dir, tmp_path):
@@ -433,7 +501,7 @@ def test_sample_only_draws_valid_entries():
 
 
 def test_sample_rejects_oversized_requests():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requested 6 samples but only 5 valid graphs exist"):
         sample_for_evaluation(make_index(n_valid=5), 6, seed=1)
 
 
@@ -511,6 +579,14 @@ def test_render_report_layout():
     text = render_report(report_errors(manifest))
     assert "Negation Loss" in text
     assert "Short-Test" in text and "Long-Test" in text
+    lines = text.splitlines()
+    assert lines[:4] == [
+        " " * 32 + "Test".rjust(17) + "Short-Test".rjust(17) + "Long-Test".rjust(17),
+        "Sample  Incorrect".ljust(32) + "       1    50.0%       1   100.0%       0     0.0%",
+        "        Total".ljust(32) + "       2   100.0%       1   100.0%       1   100.0%",
+        "-" * 83,
+    ]
+    assert {len(line) for line in lines} == {83}
 
 
 # --- live classification: each distinct miss requested once, requests overlapped ---
@@ -564,13 +640,16 @@ def run_with_client(corpus, client, out_dir, workers):
     return stats, failures, graphs
 
 
-def live_client(transport, cache_path):
-    return LlmClient(ClientConfig(mode=ClientMode.LIVE, cache_path=cache_path, retries=0), transport=transport)
+@pytest.fixture()
+def live_client(monkeypatch):
+    """Makes live clients whose transport errors are not retried."""
+    monkeypatch.setattr(mea.llm, "RETRIES", 0)
+    return lambda transport, cache_path: LlmClient(ClientConfig(mode=ClientMode.LIVE, cache_path=cache_path), transport=transport)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_live_run_requests_each_distinct_miss_once_with_requests_in_flight_together(
-    fixture_corpus, full_run, tmp_path, workers
+    fixture_corpus, full_run, tmp_path, live_client, workers
 ):
     distinct = {text for texts in classifier_texts(fixture_corpus[1]).values() for text in texts}
     transport = FixtureTransport(together=min(MAX_IN_FLIGHT, len(distinct)))
@@ -588,7 +667,7 @@ def test_live_run_requests_each_distinct_miss_once_with_requests_in_flight_toget
     assert stats.classifier_cache_hits == stats.classifier_calls - len(transport.prompts)
 
 
-def test_live_run_with_few_open_reviews_requests_each_text_once(fixture_corpus, full_run, tmp_path, monkeypatch):
+def test_live_run_with_few_open_reviews_requests_each_text_once(fixture_corpus, full_run, tmp_path, monkeypatch, live_client):
     monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 3)  # "I buy it" (reviews 4 and 20) is never open twice at once
     distinct = {text for texts in classifier_texts(fixture_corpus[1]).values() for text in texts}
     transport = FixtureTransport()
@@ -602,7 +681,9 @@ def test_live_run_with_few_open_reviews_requests_each_text_once(fixture_corpus, 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_reviews_finish_while_another_waits_on_the_endpoint(fixture_corpus, full_run, tmp_path, monkeypatch, workers):
+def test_reviews_finish_while_another_waits_on_the_endpoint(
+    fixture_corpus, full_run, tmp_path, monkeypatch, live_client, workers
+):
     monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 3)
     full_graphs, _ = full_run
     others = len(full_graphs) - len(reviews_holding(fixture_corpus, FAILING_TEXT))
@@ -648,7 +729,9 @@ def test_every_graph_is_written_in_the_calling_thread(data_dir, tmp_path, monkey
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_prepared_reviews_never_outnumber_open_reviews(fixture_corpus, full_run, tmp_path, monkeypatch, workers):
+def test_prepared_reviews_never_outnumber_open_reviews(
+    fixture_corpus, full_run, tmp_path, monkeypatch, live_client, workers
+):
     monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 2)
     lock, prepared, peak, gate = threading.Lock(), [0], [0], threading.Event()
 
@@ -697,7 +780,7 @@ def reviews_holding(corpus, text):
     return [r.review_id for r in reviews if text in texts[r.review_id]]
 
 
-def test_transport_error_quarantines_only_the_reviews_holding_its_text(fixture_corpus, full_run, tmp_path):
+def test_transport_error_quarantines_only_the_reviews_holding_its_text(fixture_corpus, full_run, tmp_path, live_client):
     transport = FixtureTransport(fail={FAILING_TEXT})
     client = live_client(transport, tmp_path / "cache.jsonl")
     stats, failures, graphs = run_with_client(fixture_corpus, client, tmp_path / "out", workers=3)
@@ -709,7 +792,7 @@ def test_transport_error_quarantines_only_the_reviews_holding_its_text(fixture_c
     assert graphs == {rid: g for rid, g in full_graphs.items() if rid not in holding}
 
 
-def test_unparseable_verdict_skips_only_its_event(fixture_corpus, full_run, tmp_path):
+def test_unparseable_verdict_skips_only_its_event(fixture_corpus, full_run, tmp_path, live_client):
     transport = FixtureTransport(raw={FAILING_TEXT: "banana"})
     client = live_client(transport, tmp_path / "cache.jsonl")
     stats, failures, graphs = run_with_client(fixture_corpus, client, tmp_path / "out", workers=3)
@@ -739,7 +822,7 @@ def test_replay_miss_quarantines_only_the_reviews_holding_its_text(fixture_corpu
     assert graphs == {rid: g for rid, g in full_graphs.items() if rid not in holding}
 
 
-def test_interrupted_live_run_stops_without_finishing_the_corpus(fixture_corpus, tmp_path, monkeypatch):
+def test_interrupted_live_run_stops_without_finishing_the_corpus(fixture_corpus, tmp_path, monkeypatch, live_client):
     monkeypatch.setattr(mea.runner, "OPEN_REVIEWS", 1)  # the run soon waits until a waiting review is answered
     tallying = []
 
