@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--sentiwordnet", required=True, help="sense score dump")
     comp.add_argument("--emotions", required=True, help="emotion word file")
     comp.add_argument("--exclusions", help="food words to drop, one per line")
-    comp.add_argument("--llm-filter", action="store_true", help="filter candidates through the model")
-    comp.add_argument("--classifier", choices=("live", "replay", "heuristic"), default="heuristic")
+    comp.add_argument("--llm-filter", choices=("live", "replay"), help="filter candidates through the model in this mode")
     comp.add_argument("--replay-fixture")
     comp.add_argument("--cache")
     comp.add_argument("--out", required=True)
@@ -71,11 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_client(args: argparse.Namespace) -> LlmClient:
-    mode = ClientMode(args.classifier)
+def _make_client(mode: str, args: argparse.Namespace) -> LlmClient:
     fixture = Path(args.replay_fixture) if args.replay_fixture else None
     cache = Path(args.cache) if args.cache else None
-    config = ClientConfig.from_env(mode=mode, fixture_path=fixture, cache_path=cache)
+    config = ClientConfig.from_env(mode=ClientMode(mode), fixture_path=fixture, cache_path=cache)
     return LlmClient(config)
 
 
@@ -86,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     lexicon = belief.load_lexicon(args.lexicon)
     graph = load_graph_file(args.graph) if args.graph else default_graph()
     validate_graph(graph)
-    with closing(_make_client(args)) as client:
+    with closing(_make_client(args.classifier, args)) as client:
         stats = run_pipeline(reviews, parses, graph, lexicon, client, args.out, write_dot=args.dot, failures=failures)
     print(
         f"{stats.total_reviews} reviews, {stats.reviews_with_events} with events, "
@@ -96,15 +94,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
-    if args.llm_filter and args.classifier == ClientMode.HEURISTIC.value:
-        raise ValueError("--llm-filter needs --classifier live or --classifier replay; heuristic cannot filter")
     exclusions = belief.load_word_list(args.exclusions) if args.exclusions else []
     food = belief.compile_food_lexicon(args.wordnet, exclusions)
     feeling_pos, feeling_neg = belief.compile_feeling_lexicon(belief.parse_sense_file(args.sentiwordnet))
     emo_pos, emo_neg = belief.compile_emotion_lexicon(belief.parse_emotion_file(args.emotions))
 
     if args.llm_filter:
-        with closing(_make_client(args)) as client:
+        with closing(_make_client(args.llm_filter, args)) as client:
             neg_words = sorted({t.word for t in feeling_neg})
             if neg_words:
                 kept = set(client.filter_candidates(neg_words, "filter_feeling_neg"))

@@ -167,7 +167,8 @@ def _load_entries(path: Path) -> dict[str, str]:
 
 
 def _http_transport(config: ClientConfig, prompt: str) -> str:
-    import requests
+    import http.client  # imported here, not at module level: a run that sends nothing never loads them
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     if config.api_key:
@@ -178,12 +179,13 @@ def _http_transport(config: ClientConfig, prompt: str) -> str:
         "temperature": 0,
     }
     try:
-        response = requests.post(config.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
-        response.raise_for_status()
-    except requests.RequestException as exc:  # a bad URL is one too, though it is also a ValueError
+        request = urllib.request.Request(config.endpoint, json.dumps(body).encode(), headers)  # a body makes it a POST
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as response:
+            raw = response.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:  # OSError: HTTP status, URL and timeout errors
         raise LlmTransportError(str(exc)) from exc
     try:
-        return response.json()["choices"][0]["message"]["content"]
+        return json.loads(raw)["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise LlmTransportError(f"malformed completion response: {exc}") from exc
 
@@ -330,8 +332,7 @@ class LlmClient:
         if template.keep_label is None:
             raise ValueError(f"template {template.name!r} is not a filter template")
         if self.config.mode is ClientMode.HEURISTIC:
-            log.warning("heuristic mode cannot filter candidates; keeping all %d words", len(words))
-            return list(words)
+            raise ValueError("heuristic mode cannot filter candidates")
         labels = [self._lookup(template, word) for word in words]  # every miss is requested before any is awaited
         kept: list[str] = []
         for word, label in zip(words, labels):

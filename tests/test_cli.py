@@ -8,6 +8,7 @@ import pytest
 
 from conftest import DATA
 from mea.cli import main
+from mea.llm import load_template
 
 
 def run_args(out_dir, classifier="replay"):
@@ -31,14 +32,18 @@ def test_run_sample_report_chain(tmp_path, capsys):
 
     manifest_path = tmp_path / "manifest.json"
     assert main(["sample", "--index", str(out), "--n", "5", "--seed", "3", "--out", str(manifest_path)]) == 0
-    manifest = json.loads(manifest_path.read_text())
+    manifest_text = manifest_path.read_text()
+    manifest = json.loads(manifest_text)
+    assert manifest_text == json.dumps(manifest, indent=2) + "\n"
     assert len(manifest["entries"]) == 5
     manifest["entries"][0]["annotations"].append({"error_type": "NegationLoss", "note": "missed cue"})
     manifest_path.write_text(json.dumps(manifest))
 
     report_path = tmp_path / "report.json"
     assert main(["report", "--manifest", str(manifest_path), "--out", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
+    report_text = report_path.read_text()
+    report = json.loads(report_text)
+    assert report_text == json.dumps(report, indent=2) + "\n"
     assert report["samples"]["total"]["incorrect"] == 1
     rendered = capsys.readouterr().out
     assert "Negation Loss" in rendered
@@ -133,10 +138,49 @@ def test_non_utf8_reviews_file_is_fatal_with_file_and_line(tmp_path, caplog):
 
 def test_live_run_without_an_endpoint_is_fatal_at_once(tmp_path, caplog, monkeypatch):
     monkeypatch.delenv("MEA_LLM_ENDPOINT", raising=False)
-    monkeypatch.setattr("requests.adapters.HTTPAdapter.send", lambda *args, **kwargs: pytest.fail("nothing may be sent"))
+    monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: pytest.fail("nothing may be sent"))
     assert main(run_args(tmp_path / "out", classifier="live")) == 1
     assert "MEA_LLM_ENDPOINT must be an http(s):// URL, got ''" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+# Each subcommand's required options, with a value argparse accepts.
+REQUIRED = {
+    "run": {"--reviews": "r.csv", "--format": "csv", "--parses": "p", "--lexicon": "l.tsv", "--classifier": "replay", "--out": "o"},
+    "compile-lexicon": {"--wordnet": "w.tsv", "--sentiwordnet": "s.tsv", "--emotions": "e.tsv", "--out": "o"},
+    "sample": {"--index": "o", "--n": "1", "--seed": "1", "--out": "m.json"},
+    "report": {"--manifest": "m.json"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [(None, "command")] + [(command, option) for command, options in REQUIRED.items() for option in options],
+)
+def test_a_missing_subcommand_or_required_option_is_a_usage_error(capsys, command, missing):
+    args = [] if command is None else [command]
+    for option, value in REQUIRED.get(command, {}).items():
+        if option != missing:
+            args += [option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
+def test_run_reads_a_snap_corpus(tmp_path):
+    parses = tmp_path / "parses"
+    parses.mkdir()
+    for stem in ("1", "2"):  # the corpus parses of reviews 1 and 2 stand in for the snap reviews of the same ids
+        shutil.copy(DATA / "corpus" / "parses" / f"{stem}.conllu", parses)
+    out = tmp_path / "out"
+    args = run_args(out, classifier="heuristic")
+    args[args.index("--reviews") + 1] = str(DATA / "snap_sample.txt")
+    args[args.index("--format") + 1] = "snap"
+    args[args.index("--parses") + 1] = str(parses)
+    assert main(args) == 2
+    assert sorted(p.name for p in out.glob("?.json")) == ["1.json", "2.json"]
+    assert (out / "failures.log").read_text(encoding="utf-8") == "3\tmissing review/text field\n"
 
 
 def test_replay_without_fixture_is_fatal(tmp_path):
@@ -153,38 +197,59 @@ def test_sample_too_large_is_fatal(tmp_path):
     assert code == 1
 
 
+COMPILE_ARGS = [
+    "compile-lexicon",
+    "--wordnet", str(DATA / "wordnet_dump.tsv"),
+    "--sentiwordnet", str(DATA / "senti_dump.tsv"),
+    "--emotions", str(DATA / "emotions.tsv"),
+    "--exclusions", str(DATA / "food_exclusions.txt"),
+]
+REPLAY_FILTER = ["--llm-filter", "replay", "--replay-fixture", str(DATA / "replay_filters.jsonl")]
+
+
 def test_compile_lexicon_with_replay_filter(tmp_path):
     out = tmp_path / "lexicon.tsv"
-    code = main(
-        [
-            "compile-lexicon",
-            "--wordnet", str(DATA / "wordnet_dump.tsv"),
-            "--sentiwordnet", str(DATA / "senti_dump.tsv"),
-            "--emotions", str(DATA / "emotions.tsv"),
-            "--exclusions", str(DATA / "food_exclusions.txt"),
-            "--llm-filter",
-            "--classifier", "replay",
-            "--replay-fixture", str(DATA / "replay_filters.jsonl"),
-            "--out", str(out),
-        ]
-    )
+    code = main(COMPILE_ARGS + REPLAY_FILTER + ["--out", str(out)])
     assert code == 0
     text = out.read_text()
     words = {line.split("\t")[0] for line in text.splitlines()[1:]}
     assert "gleeful" not in words  # dropped by the emotion filter verdict
     assert {"meatball", "bitter", "cheerful", "adore"} <= words
     assert "mess" not in words
+    assert main(COMPILE_ARGS + ["--out", str(tmp_path / "unfiltered.tsv")]) == 0
+    unfiltered = (tmp_path / "unfiltered.tsv").read_text().splitlines()
+    assert text.splitlines() == [line for line in unfiltered if not line.startswith("gleeful\t")]  # the one "no" verdict
 
 
-@pytest.mark.parametrize("classifier", [[], ["--classifier", "heuristic"]], ids=["default", "heuristic"])
-def test_llm_filter_without_a_model_classifier_is_fatal_before_reading_dumps(tmp_path, caplog, classifier):
+@pytest.mark.parametrize(
+    "mode, message",
+    [([], "expected one argument"), (["heuristic"], "invalid choice: 'heuristic'")],
+    ids=["default", "heuristic"],
+)
+def test_llm_filter_without_a_model_classifier_is_fatal_before_reading_dumps(tmp_path, capsys, mode, message):
     out = tmp_path / "lexicon.tsv"
     missing = str(tmp_path / "missing.tsv")  # reading any dump would fail with another message
-    args = ["compile-lexicon", "--wordnet", missing, "--sentiwordnet", missing, "--emotions", missing, "--llm-filter"]
-    assert main(args + classifier + ["--out", str(out)]) == 1
-    assert "--llm-filter needs --classifier live or --classifier replay" in caplog.text
-    assert "missing.tsv" not in caplog.text
+    args = ["compile-lexicon", "--wordnet", missing, "--sentiwordnet", missing, "--emotions", missing]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out), "--llm-filter"] + mode)
+    assert exc.value.code == 2
+    assert f"argument --llm-filter: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compile_lexicon_with_a_live_filter_matches_replay_and_fills_the_cache(tmp_path, monkeypatch):
+    entries = [json.loads(line) for line in (DATA / "replay_filters.jsonl").read_text(encoding="utf-8").splitlines()]
+    answers = {load_template(e["template"]).render(e["input"]): e["raw_response"] for e in entries}
+    monkeypatch.setenv("MEA_LLM_ENDPOINT", "http://models.local/v1")
+    monkeypatch.delenv("MEA_LLM_MODEL", raising=False)
+    monkeypatch.setattr("mea.llm._http_transport", lambda config, prompt: answers[prompt])
+    cache = tmp_path / "cache.jsonl"
+    assert main(COMPILE_ARGS + ["--llm-filter", "live", "--cache", str(cache), "--out", str(tmp_path / "live.tsv")]) == 0
+    assert main(COMPILE_ARGS + REPLAY_FILTER + ["--out", str(tmp_path / "replay.tsv")]) == 0
+    assert (tmp_path / "live.tsv").read_bytes() == (tmp_path / "replay.tsv").read_bytes()
+    cached = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
+    assert {e["input"] for e in cached} == {"bitter", "hard", "adore", "angry", "cheerful", "fearful", "gleeful", "love", "sad"}
+    assert {(e["key"], e["parsed_label"]) for e in cached} <= {(e["key"], e["parsed_label"]) for e in entries}
 
 
 def test_compile_lexicon_without_filter(tmp_path):
@@ -208,12 +273,13 @@ def test_compile_lexicon_without_filter(tmp_path):
     [
         ("manifest.json", '{"entries": [', ":1: invalid JSON: Expecting value: line 1 column 14"),
         ("manifest.json", "{}", ":0: missing or mistyped field: 'entries'"),
+        ("manifest.json", "[]", ":0: missing or mistyped field: list indices must be integers or slices, not str"),
         ("manifest.json", '{"entries": [{"annotations": []}]}', ":0: missing or mistyped field: 'split'"),
         ("manifest.json", '{"entries": [{"split": "short"}]}', ":0: missing or mistyped field: 'annotations'"),
         ("manifest.json", '{"entries": [{"split": "short", "annotations": ["x"]}]}', ":0: missing or mistyped field: "),
         ("index.json", '[{"review_id": "1", "sentence_count": 2}]', ":0: missing or mistyped field: 'valid'"),
     ],
-    ids=["truncated", "no-entries", "no-split", "no-annotations", "annotation-not-object", "index-no-valid"],
+    ids=["truncated", "no-entries", "not-an-object", "no-split", "no-annotations", "annotation-not-object", "index-no-valid"],
 )
 def test_malformed_sample_and_report_inputs_name_the_file(tmp_path, caplog, name, text, message):
     path = tmp_path / name

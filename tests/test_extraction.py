@@ -97,6 +97,21 @@ def test_parse_requires_review_id(tmp_path):
     assert "review_id" in str(exc.value)
 
 
+def test_parse_requires_a_review_id_in_every_sentence(tmp_path):
+    path = tmp_path / "r1.conllu"
+    path.write_text(
+        "# review_id = r1\n"
+        "1\tI\ti\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n"
+        "2\tfreeze\tfreeze\tVERB\tVBP\t_\t0\troot\t_\t_\n"
+        "\n"
+        "1\tX\tx\tNOUN\tNN\t_\t0\troot\t_\t_\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConlluError) as exc:
+        parse_conllu(path)
+    assert str(exc.value) == f"{path}:5: sentence has no review_id comment"
+
+
 def test_parse_counts_sentences_in_file_order(data_dir):
     sentences = parse_conllu(data_dir / "patterns.conllu")
     assert len(sentences) == 14
@@ -282,6 +297,11 @@ def test_longest_pattern_wins_over_p1():
 def test_a_plural_proper_noun_object_binds_p2():
     s = sentence([("I", "i", "PRP", 2, "nsubj"), ("bought", "buy", "VBD", 0, "root"), ("Oreos", "oreo", "NNPS", 2, "dobj")])
     assert [(e.pattern_id, e.token_indices) for e in match_action_patterns(s)] == [("P2", (1, 2, 3))]
+
+
+def test_a_proper_noun_binds_the_p9_prepositional_object():
+    s = sentence([("I", "i", "PRP", 2, "nsubj"), ("ate", "eat", "VBD", 0, "root"), ("at", "at", "IN", 4, "case"), ("Wendy", "wendy", "NNP", 2, "nmod")])
+    assert [(e.pattern_id, e.token_indices) for e in match_action_patterns(s)] == [("P9", (1, 2, 3, 4))]
 
 
 def test_non_first_person_subject_is_ignored():

@@ -1,12 +1,15 @@
 import dataclasses
+import http.server
+import io
 import json
+import socket
 import sys
 import threading
 import time
+import urllib.request
 from concurrent.futures import Future
 
 import pytest
-import requests
 
 import mea.llm
 from conftest import DATA, make_replay_client
@@ -95,30 +98,25 @@ def test_config_from_env(monkeypatch):
 
 # --- the HTTP transport ------------------------------------------------------
 
-class FakeResponse:
-    def __init__(self, doc):
-        self.doc = doc
+def replying(body, posted=None):
+    """An urlopen stand-in that records each request and its timeout, and answers body."""
 
-    def raise_for_status(self):
-        pass
+    def urlopen(request, timeout):
+        if posted is not None:
+            posted.append((request, timeout))
+        return io.BytesIO(body)
 
-    def json(self):
-        if isinstance(self.doc, Exception):  # a body that is not JSON
-            raise self.doc
-        return self.doc
+    return urlopen
 
 
 def test_http_transport_posts_temperature_zero_and_reads_the_completion(monkeypatch):
     posted = []
-
-    def post(url, json, headers, timeout):
-        posted.append((json, timeout))
-        choices = [{"message": {"content": "Physical"}}, {"message": {"content": "Social"}}]
-        return FakeResponse({"choices": choices})
-
-    monkeypatch.setattr(requests, "post", post)
+    choices = [{"message": {"content": "Physical"}}, {"message": {"content": "Social"}}]
+    monkeypatch.setattr(urllib.request, "urlopen", replying(json.dumps({"choices": choices}).encode(), posted))
     assert _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt") == "Physical"
-    body, timeout = posted[0]
+    [(request, timeout)] = posted
+    body = json.loads(request.data)
+    assert (request.get_method(), request.full_url) == ("POST", "http://models.local/v1")
     assert body["temperature"] == 0
     assert body["messages"] == [{"role": "user", "content": "prompt"}]
     assert timeout == 30.0
@@ -126,29 +124,126 @@ def test_http_transport_posts_temperature_zero_and_reads_the_completion(monkeypa
 
 @pytest.mark.parametrize(
     "body",
-    [{"choices": []}, {"choices": "none"}, ValueError("Expecting value")],
+    [b'{"choices": []}', b'{"choices": "none"}', b"<html>overloaded</html>"],
     ids=["no-choice", "choices-not-a-list", "not-json"],
 )
 def test_http_transport_reports_a_misshapen_body_as_malformed(monkeypatch, body):
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse(body))
+    monkeypatch.setattr(urllib.request, "urlopen", replying(body))
     with pytest.raises(LlmTransportError, match="malformed completion response"):
         _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt")
 
 
 def test_http_transport_reports_a_body_without_choices_as_malformed(monkeypatch):
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse({"error": "overloaded"}))
+    monkeypatch.setattr(urllib.request, "urlopen", replying(b'{"error": "overloaded"}'))
     with pytest.raises(LlmTransportError, match="malformed completion response"):
         _http_transport(ClientConfig(endpoint="http://models.local/v1"), "prompt")
 
 
 def test_http_transport_reports_an_empty_endpoint_as_a_request_error(monkeypatch):
-    def send(*args, **kwargs):
-        pytest.fail("nothing may be sent")
-
-    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("nothing may be sent"))
     with pytest.raises(LlmTransportError) as exc:
         _http_transport(ClientConfig(endpoint=""), "prompt")
-    assert "Invalid URL" in str(exc.value) and "malformed" not in str(exc.value)
+    assert "unknown url type" in str(exc.value) and "malformed" not in str(exc.value)
+
+
+class CompletionServer(http.server.ThreadingHTTPServer):
+    """A loopback chat-completion endpoint; the request path picks the reply."""
+
+    daemon_threads = False  # so server_close waits for every handler
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), CompletionHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.posted = []  # (Authorization header, decoded body) per request
+        self.release = threading.Event()  # lets the /slow handler reply
+
+
+class CompletionHandler(http.server.BaseHTTPRequestHandler):
+    REPLIES = {  # path: (status, body, bytes missing from the body its Content-Length announces)
+        "/ok": (200, json.dumps({"choices": [{"message": {"content": "Physical"}}]}).encode(), 0),
+        "/slow": (200, b"{}", 0),
+        "/error": (500, b"overloaded", 0),
+        "/not-json": (200, b"<html>overloaded</html>", 0),
+        "/truncated": (200, b'{"choices": [', 10),
+    }
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posted.append((self.headers["Authorization"], json.loads(body)))
+        if self.path == "/slow":
+            self.server.release.wait(5)
+        status, reply, missing = self.REPLIES[self.path]
+        try:
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(reply) + missing))
+            self.end_headers()
+            self.wfile.write(reply)
+        except (BrokenPipeError, ConnectionResetError):  # the client gave up on the slow reply
+            pass
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy set in the environment must not see these requests
+    server = CompletionServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def test_http_transport_posts_to_a_loopback_server(server):
+    config = ClientConfig(endpoint=f"{server.url}/ok", api_key="sk-test", model="glm-4-air")
+    assert _http_transport(config, "I eat soup") == "Physical"
+    [(authorization, body)] = server.posted
+    assert authorization == "Bearer sk-test"
+    assert body == {"model": "glm-4-air", "messages": [{"role": "user", "content": "I eat soup"}], "temperature": 0}
+    _http_transport(ClientConfig(endpoint=f"{server.url}/ok"), "I eat soup")
+    assert server.posted[1][0] is None  # no key, no Authorization header
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("/error", "HTTP Error 500: Internal Server Error"),
+        ("/not-json", "malformed completion response"),
+        ("/truncated", r"IncompleteRead\(13 bytes read, 10 more expected\)"),
+    ],
+    ids=["status-500", "not-json", "truncated"],
+)
+def test_http_transport_reports_a_failed_reply(server, path, message):
+    with pytest.raises(LlmTransportError, match=message):
+        _http_transport(ClientConfig(endpoint=server.url + path), "prompt")
+
+
+def test_http_transport_gives_up_on_a_reply_slower_than_its_timeout(server, monkeypatch):
+    monkeypatch.setattr(mea.llm, "REQUEST_TIMEOUT_S", 0.2)
+    started = time.monotonic()
+    with pytest.raises(LlmTransportError, match="timed out") as exc:
+        _http_transport(ClientConfig(endpoint=f"{server.url}/slow"), "prompt")
+    assert time.monotonic() - started < 2
+    assert "malformed" not in str(exc.value)
+
+
+def test_http_transport_reports_a_refused_connection(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with socket.socket() as closed:  # bound but not listening: a connection to it is refused
+        closed.bind(("127.0.0.1", 0))
+        endpoint = f"http://127.0.0.1:{closed.getsockname()[1]}/v1"
+        with pytest.raises(LlmTransportError, match="Connection refused"):
+            _http_transport(ClientConfig(endpoint=endpoint), "prompt")
+
+
+def test_http_transport_reports_a_hostless_endpoint_as_a_request_error():
+    with pytest.raises(LlmTransportError) as exc:
+        _http_transport(ClientConfig(endpoint="http://"), "prompt")
+    assert "no host given" in str(exc.value) and "malformed" not in str(exc.value)
 
 
 @pytest.mark.parametrize("endpoint", ["", "models.local/v1", "ftp://models.local/v1", "http://"])
@@ -379,9 +474,10 @@ def test_filter_keeps_word_on_parse_failure(tmp_path, caplog):
     assert any("keeping" in r.getMessage() for r in caplog.records)
 
 
-def test_filter_in_heuristic_mode_keeps_everything(caplog):
+def test_filter_in_heuristic_mode_raises():
     client = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC))
-    assert client.filter_candidates(["a", "b"], "filter_emotion") == ["a", "b"]
+    with pytest.raises(ValueError, match="heuristic mode cannot filter candidates"):
+        client.filter_candidates(["a", "b"], "filter_emotion")
 
 
 def test_filter_preserves_order_and_is_cached(tmp_path):
