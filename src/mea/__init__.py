@@ -16,8 +16,8 @@ class InputFileError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def read_text(path: str | Path, error: type[InputFileError]) -> str:
-    """Decode a UTF-8 file; raise `error` at the line of the first bad byte."""
+def read_text(path: str | Path) -> str:
+    """Decode a UTF-8 file; raise InputFileError at the line of the first bad byte."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -25,12 +25,12 @@ def read_text(path: str | Path, error: type[InputFileError]) -> str:
     except UnicodeDecodeError as exc:
         # Number the lines as splitlines() does, with U+FFFD standing in for the bad byte.
         bad_line = len((data[: exc.start].decode("utf-8") + "\ufffd").splitlines())
-        raise error(str(path), bad_line, "not valid UTF-8") from None
+        raise InputFileError(str(path), bad_line, "not valid UTF-8") from None
 
 
-def split_fields(line: str, count: int, path: str | Path, line_no: int, error: type[InputFileError]) -> list[str]:
-    """Split a line on tabs; raise `error` unless it has exactly `count` fields."""
+def split_fields(line: str, count: int, path: str | Path, line_no: int) -> list[str]:
+    """Split a line on tabs; raise InputFileError unless it has exactly `count` fields."""
     fields = line.split("\t")
     if len(fields) != count:
-        raise error(str(path), line_no, f"expected {count} tab-separated fields, got {len(fields)}")
+        raise InputFileError(str(path), line_no, f"expected {count} tab-separated fields, got {len(fields)}")
     return fields

@@ -45,15 +45,7 @@ _POSITIVE_EMOTIONS = frozenset({EmotionClass.JOY, EmotionClass.LOVE})
 _NEGATIVE_EMOTIONS = frozenset({EmotionClass.ANGER, EmotionClass.FEAR, EmotionClass.SADNESS})
 
 
-class LexiconError(Exception):
-    """Base class for lexicon compilation and IO errors."""
-
-
-class LexiconFormatError(LexiconError, InputFileError):
-    pass
-
-
-class TaxonomyCycleError(LexiconError):
+class TaxonomyCycleError(Exception):
     def __init__(self, cycle: list[str]):
         self.cycle = cycle
         super().__init__("hyponym taxonomy contains a cycle: " + " -> ".join(cycle))
@@ -174,15 +166,15 @@ def compile_food_lexicon(dump_path: str | Path, exclusions: Iterable[str] = ()) 
     children: defaultdict[str, list[str]] = defaultdict(list)
     lemmas: list[tuple[str, str]] = []  # (synset, lemma) membership pairs
     synsets: set[str] = set()  # ids the regex matched: a two-field line whose first field is one passes every check
-    for line_no, raw in enumerate(read_text(dump_path, LexiconFormatError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(dump_path).splitlines(), start=1):
         fields = raw.split("\t")
         if len(fields) != 2 or fields[0] not in synsets:
             if not raw.strip():
                 continue
             if len(fields) != 2:
-                split_fields(raw, 2, dump_path, line_no, LexiconFormatError)  # raises with its field count
+                split_fields(raw, 2, dump_path, line_no)  # raises with its field count
             if not _SYNSET_RE.match(fields[0]):
-                raise LexiconFormatError(str(dump_path), line_no, f"first field is not a noun synset id: {fields[0]!r}")
+                raise InputFileError(str(dump_path), line_no, f"first field is not a noun synset id: {fields[0]!r}")
             synsets.add(fields[0])
         first, second = fields
         if second in synsets or ".n." in second and _SYNSET_RE.match(second):  # no id matches without ".n."
@@ -290,41 +282,41 @@ def dump_lexicon(lexicon: BeliefLexicon, path: str | Path) -> None:
 def loads_lexicon(text: str, origin: str = "<string>") -> BeliefLexicon:
     lines = text.splitlines()
     if not lines or lines[0] != LEXICON_HEADER:
-        raise LexiconFormatError(origin, 1, f"missing header {LEXICON_HEADER!r}")
+        raise InputFileError(origin, 1, f"missing header {LEXICON_HEADER!r}")
     tuples: list[BeliefTuple] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        word, node_s, source_s, pos_s = split_fields(line, 4, origin, line_no, LexiconFormatError)
+        word, node_s, source_s, pos_s = split_fields(line, 4, origin, line_no)
         try:
             tuples.append(BeliefTuple(word, _NODE(node_s), _SOURCE(source_s), _POS(pos_s)))
         except ValueError as exc:
-            raise LexiconFormatError(origin, line_no, str(exc)) from None
+            raise InputFileError(origin, line_no, str(exc)) from None
     try:
         return BeliefLexicon(tuples)
     except ValueError as exc:
-        raise LexiconFormatError(origin, 0, str(exc)) from None
+        raise InputFileError(origin, 0, str(exc)) from None
 
 
 def load_lexicon(path: str | Path) -> BeliefLexicon:
     path = Path(path)
-    return loads_lexicon(read_text(path, LexiconFormatError), origin=str(path))
+    return loads_lexicon(read_text(path), origin=str(path))
 
 
 def parse_sense_file(path: str | Path) -> list[SenseRecord]:
     """Read a sense dump: lemma, pos_class, pos_score, neg_score, sense_id."""
     path = Path(path)
     records: list[SenseRecord] = []
-    for line_no, raw in enumerate(read_text(path, LexiconFormatError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no, LexiconFormatError)
+        lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no)
         try:
             records.append(
                 SenseRecord(lemma, _POS(pos_s), float(pos_score_s), float(neg_score_s), sense_id)
             )
         except ValueError as exc:
-            raise LexiconFormatError(str(path), line_no, str(exc)) from None
+            raise InputFileError(str(path), line_no, str(exc)) from None
     return records
 
 
@@ -337,29 +329,29 @@ def parse_emotion_file(path: str | Path) -> list[EmotionBaseWord]:
     path = Path(path)
     bases: list[EmotionBaseWord] = []
     pending_ext: dict[int, list[tuple[str, PosClass]]] = {}
-    for line_no, raw in enumerate(read_text(path, LexiconFormatError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        word, emo_s, pos_s, kind = split_fields(raw, 4, path, line_no, LexiconFormatError)
+        word, emo_s, pos_s, kind = split_fields(raw, 4, path, line_no)
         try:
             emotion = _EMOTION(emo_s)
             pos_class = _POS(pos_s)
         except ValueError as exc:
-            raise LexiconFormatError(str(path), line_no, str(exc)) from None
+            raise InputFileError(str(path), line_no, str(exc)) from None
         if kind == "base":
             bases.append(EmotionBaseWord(word, emotion, pos_class))
         elif kind == "extension":
             if not bases:
-                raise LexiconFormatError(str(path), line_no, "extension row before any base row")
+                raise InputFileError(str(path), line_no, "extension row before any base row")
             if bases[-1].emotion_class is not emotion:
-                raise LexiconFormatError(
+                raise InputFileError(
                     str(path),
                     line_no,
                     f"extension class {emotion.value} does not match base {bases[-1].emotion_class.value}",
                 )
             pending_ext.setdefault(len(bases) - 1, []).append((word, pos_class))
         else:
-            raise LexiconFormatError(str(path), line_no, f"kind must be base or extension, got {kind!r}")
+            raise InputFileError(str(path), line_no, f"kind must be base or extension, got {kind!r}")
     return [
         EmotionBaseWord(b.word, b.emotion_class, b.pos_class, tuple(pending_ext.get(i, ())))
         for i, b in enumerate(bases)
@@ -368,7 +360,7 @@ def parse_emotion_file(path: str | Path) -> list[EmotionBaseWord]:
 
 def load_word_list(path: str | Path) -> list[str]:
     words = []
-    for raw in read_text(path, LexiconFormatError).splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             words.append(line)

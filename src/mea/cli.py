@@ -6,7 +6,7 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import closing
+from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import Any, Callable
 
@@ -94,13 +94,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
-    exclusions = belief.load_word_list(args.exclusions) if args.exclusions else []
-    food = belief.compile_food_lexicon(args.wordnet, exclusions)
-    feeling_pos, feeling_neg = belief.compile_feeling_lexicon(belief.parse_sense_file(args.sentiwordnet))
-    emo_pos, emo_neg = belief.compile_emotion_lexicon(belief.parse_emotion_file(args.emotions))
-
-    if args.llm_filter:
-        with closing(_make_client(args.llm_filter, args)) as client:
+    # The filter client is built first: a bad filter configuration fails before any dump is read.
+    with closing(_make_client(args.llm_filter, args)) if args.llm_filter else nullcontext() as client:
+        exclusions = belief.load_word_list(args.exclusions) if args.exclusions else []
+        food = belief.compile_food_lexicon(args.wordnet, exclusions)
+        feeling_pos, feeling_neg = belief.compile_feeling_lexicon(belief.parse_sense_file(args.sentiwordnet))
+        emo_pos, emo_neg = belief.compile_emotion_lexicon(belief.parse_emotion_file(args.emotions))
+        if client is not None:
             neg_words = sorted({t.word for t in feeling_neg})
             if neg_words:
                 kept = set(client.filter_candidates(neg_words, "filter_feeling_neg"))
@@ -123,7 +123,7 @@ def _cmd_compile_lexicon(args: argparse.Namespace) -> int:
 def _read_json(path: str | Path, use: Callable[[Any], dict]) -> dict:
     """Apply use to the JSON document in path; a syntax error or a missing or mistyped field names the file."""
     try:
-        doc = json.loads(read_text(path, InputFileError))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputFileError(str(path), exc.lineno, f"invalid JSON: {exc}") from None
     except RecursionError as exc:  # nested too deep for the decoder; it gives no position

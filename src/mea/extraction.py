@@ -23,10 +23,6 @@ from .nature import EMOTION_NODES, FEELING_NODES, NatureNodeId, opposite_node
 FIRST_PERSON_LEMMAS = frozenset({"i", "we"})
 
 
-class ConlluError(InputFileError):
-    pass
-
-
 class Token(NamedTuple):
     index: int          # 1-based position
     surface: str
@@ -60,7 +56,7 @@ class ParsedSentence:
 class Event:
     sentence: ParsedSentence
     token_indices: tuple[int, ...]   # sorted
-    pattern_id: str                  # "P1".."P10" or "STATE"
+    pattern_id: str                  # one of PATTERN_IDS
     verb_index: int
     subject_lemma: str | None
     negated: bool
@@ -71,11 +67,11 @@ class Event:
     def __post_init__(self) -> None:
         if self.verb_index not in self.token_indices:
             raise ValueError("verb index not part of the event span")
-        if self.pattern_id != "STATE" and self.subject_lemma not in FIRST_PERSON_LEMMAS:
+        if self.pattern_id != STATE and self.subject_lemma not in FIRST_PERSON_LEMMAS:
             raise ValueError("action events require a first-person subject")
         tokens = self.sentence.tokens
         object.__setattr__(self, "text", " ".join([tokens[i - 1].surface for i in self.token_indices]))
-        object.__setattr__(self, "tense", None if self.pattern_id == "STATE" else classify_tense(self))
+        object.__setattr__(self, "tense", None if self.pattern_id == STATE else classify_tense(self))
 
 
 class Combo(str, Enum):
@@ -122,7 +118,7 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
         nonlocal has_review_id, rows
         if rows:
             if not has_review_id:
-                raise ConlluError(path, start_line, "sentence has no review_id comment")
+                raise InputFileError(path, start_line, "sentence has no review_id comment")
             tokens = []
             fault = None  # the first sentence-level fault, reported after any token's own fault
             roots = 0
@@ -131,13 +127,13 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
                     idx = int(fields[0])
                     head = int(fields[6])
                 except ValueError:
-                    raise ConlluError(path, line_no, "ID and HEAD must be integers") from None
+                    raise InputFileError(path, line_no, "ID and HEAD must be integers") from None
                 if idx < 1:
-                    raise ConlluError(path, line_no, f"token index must be >= 1, got {idx}")
+                    raise InputFileError(path, line_no, f"token index must be >= 1, got {idx}")
                 if head == idx:
-                    raise ConlluError(path, line_no, f"token {idx} heads itself")
+                    raise InputFileError(path, line_no, f"token {idx} heads itself")
                 if not fields[4]:
-                    raise ConlluError(path, line_no, f"token {idx} has an empty POS tag")
+                    raise InputFileError(path, line_no, f"token {idx} has an empty POS tag")
                 if fault is None:
                     if idx != pos:
                         fault = f"token indices not contiguous at position {pos}"
@@ -148,11 +144,11 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
             if fault is None and roots != 1:
                 fault = f"expected exactly one root token, found {roots}"
             if fault is not None:
-                raise ConlluError(path, start_line, fault)
+                raise InputFileError(path, start_line, fault)
             sentences.append(ParsedSentence(tuple(tokens)))
         has_review_id, rows = False, []
 
-    for line_no, raw in enumerate(read_text(path, ConlluError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             flush()
             continue
@@ -160,10 +156,10 @@ def parse_conllu(path: str | Path) -> list[ParsedSentence]:
             m = _REVIEW_ID_RE.match(raw)
             if m:
                 if m.group(1) != stem:
-                    raise ConlluError(path, line_no, f"review_id {m.group(1)!r} does not match the file name")
+                    raise InputFileError(path, line_no, f"review_id {m.group(1)!r} does not match the file name")
                 has_review_id = True
             continue
-        fields = split_fields(raw, 10, path, line_no, ConlluError)
+        fields = split_fields(raw, 10, path, line_no)
         if not rows:
             start_line = line_no
         rows.append((line_no, fields))
@@ -242,6 +238,8 @@ ACTION_PATTERNS: tuple[ActionPattern, ...] = (
         ),
     ),
 )
+STATE = "STATE"  # the pattern id of the root clause's state event
+PATTERN_IDS = tuple(p.pattern_id for p in ACTION_PATTERNS) + (STATE,)
 
 
 # Each pattern with its number and the deprels its v1 arcs need among v1's children.
@@ -325,7 +323,7 @@ def extract_state_event(sentence: ParsedSentence) -> Event | None:
         return None
     indices = tuple([t.index for t in sentence.tokens if t.deprel != "punct" or t.index == verb_index])
     subject_lemma = first["nsubj"].lemma if "nsubj" in first else None
-    return Event(sentence, indices, "STATE", verb_index, subject_lemma, _span_negated(sentence, indices))
+    return Event(sentence, indices, STATE, verb_index, subject_lemma, _span_negated(sentence, indices))
 
 
 def extract_events(sentence: ParsedSentence) -> list[Event]:

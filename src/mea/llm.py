@@ -47,25 +47,17 @@ _TEMPLATE_LABELS: dict[str, tuple[frozenset[str], str | None]] = {
 }
 
 
-class LlmError(Exception):
+class LlmTransportError(Exception):
     pass
 
 
-class LlmTransportError(LlmError):
-    pass
-
-
-class LlmParseError(LlmError):
+class LlmParseError(Exception):
     def __init__(self, message: str, raw_response: str):
         self.raw_response = raw_response
         super().__init__(message)
 
 
-class ReplayMissError(LlmError):
-    pass
-
-
-class CacheFormatError(LlmError, InputFileError):
+class ReplayMissError(Exception):
     pass
 
 
@@ -139,29 +131,29 @@ def cache_key(template: str, input_text: str, model: str) -> str:
 
 def _load_entries(path: Path) -> dict[str, str]:
     labels: dict[str, str] = {}
-    for line_no, raw in enumerate(read_text(path, CacheFormatError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             doc = json.loads(raw)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise CacheFormatError(str(path), line_no, f"invalid JSON: {exc}") from None
+            raise InputFileError(str(path), line_no, f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
-            raise CacheFormatError(str(path), line_no, "expected a JSON object")
+            raise InputFileError(str(path), line_no, "expected a JSON object")
         try:
             key, template, input_text, model, _, label, _ = _cache_fields(doc)
         except KeyError as exc:
-            raise CacheFormatError(str(path), line_no, f"missing field {exc}") from None
+            raise InputFileError(str(path), line_no, f"missing field {exc}") from None
         try:
             if template not in _TEMPLATE_LABELS:
-                raise CacheFormatError(str(path), line_no, f"unknown template {template!r}")
+                raise InputFileError(str(path), line_no, f"unknown template {template!r}")
             if label not in _TEMPLATE_LABELS[template][0]:
-                raise CacheFormatError(str(path), line_no, f"label {label!r} not allowed")
+                raise InputFileError(str(path), line_no, f"label {label!r} not allowed")
             expected = cache_key(template, input_text, model)
         except TypeError:  # a list, object or number where a string belongs
-            raise CacheFormatError(str(path), line_no, "template, input, model and label must be strings") from None
+            raise InputFileError(str(path), line_no, "template, input, model and label must be strings") from None
         if key != expected:
-            raise CacheFormatError(str(path), line_no, "key does not match entry fields")
+            raise InputFileError(str(path), line_no, "key does not match entry fields")
         labels[key] = label
     return labels
 

@@ -34,25 +34,17 @@ class NatureNodeId(str, Enum):
 NODE_ORDER: dict[NatureNodeId, int] = {n: i for i, n in enumerate(NatureNodeId)}
 
 
-class GraphError(Exception):
-    """Base class for innate-graph errors."""
-
-
-class CycleError(GraphError):
+class CycleError(Exception):
     def __init__(self, cycle: list[NatureNodeId]):
         self.cycle = cycle
         names = " -> ".join(n.value for n in cycle)
         super().__init__(f"graph contains a cycle: {names}")
 
 
-class NoOppositeError(GraphError):
+class NoOppositeError(Exception):
     def __init__(self, node: NatureNodeId):
         self.node = node
         super().__init__(f"node {node.value} has no polar opposite")
-
-
-class GraphFileError(GraphError, InputFileError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -212,23 +204,23 @@ def load_graph_file(path: str | Path) -> NatureGraph:
     """Read an edge-list override file: head<TAB>tail<TAB>0|1 per line, # comments."""
     edges: list[NatureEdge] = []
     path = Path(path)
-    for line_no, raw in enumerate(read_text(path, GraphFileError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head_s, tail_s, flag = split_fields(line, 3, path, line_no, GraphFileError)
+        head_s, tail_s, flag = split_fields(line, 3, path, line_no)
         try:
             head = NatureNodeId(head_s)
             tail = NatureNodeId(tail_s)
         except ValueError as exc:
-            raise GraphFileError(str(path), line_no, str(exc)) from None
+            raise InputFileError(str(path), line_no, str(exc)) from None
         if flag not in ("0", "1"):
-            raise GraphFileError(str(path), line_no, f"transmits flag must be 0 or 1, got {flag!r}")
+            raise InputFileError(str(path), line_no, f"transmits flag must be 0 or 1, got {flag!r}")
         try:
             edges.append(NatureEdge(head, tail, flag == "1"))
         except ValueError as exc:
-            raise GraphFileError(str(path), line_no, str(exc)) from None
+            raise InputFileError(str(path), line_no, str(exc)) from None
     try:
         return NatureGraph(edges)
     except ValueError as exc:
-        raise GraphFileError(str(path), 0, str(exc)) from None
+        raise InputFileError(str(path), 0, str(exc)) from None

@@ -19,7 +19,7 @@ from . import InputFileError, read_text
 from .belief import BeliefLexicon
 # build_mea_dag is no longer called here but stays importable: perfbench/batch.py traces it by name.
 from .dag import ActionClass, MeaDag, build_mea_dag, dumps_dag, finish_mea_dag, needs_classifier, prepare_mea_dag, to_dot  # noqa: F401
-from .extraction import ACTION_PATTERNS, ConlluError, ParsedSentence, parse_conllu
+from .extraction import PATTERN_IDS, ParsedSentence, parse_conllu
 from .llm import LlmClient, LlmParseError
 from .nature import NatureGraph, NatureNodeId
 
@@ -36,8 +36,6 @@ ERROR_DISPLAY_NAMES = {
 }
 
 ERROR_TYPES = tuple(ERROR_DISPLAY_NAMES)
-
-PATTERN_IDS = tuple(p.pattern_id for p in ACTION_PATTERNS) + ("STATE",)
 
 SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
 
@@ -121,7 +119,7 @@ def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[Rev
             records.append(ReviewRecord(review_id, text))
         block = {}
 
-    for raw in read_text(path, InputFileError).splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line:
             flush()
@@ -134,7 +132,7 @@ def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[Rev
 
 
 def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[ReviewRecord]:
-    reader = csv.DictReader(io.StringIO(read_text(path, InputFileError), newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
         if reader.fieldnames is None or "Id" not in reader.fieldnames or "Text" not in reader.fieldnames:
             raise ValueError(f"{path}: csv must have Id and Text columns")
@@ -181,8 +179,8 @@ def load_parse_dir(
         stem = name[:-7] or name  # as Path.stem: a bare ".conllu" is all stem
         try:
             sentences = parse_conllu(prefix + name)
-        except (ConlluError, OSError) as exc:  # OSError: a directory, a dangling link, an unreadable file
-            error = exc if isinstance(exc, ConlluError) else ConlluError(prefix + name, 0, exc.strerror)
+        except (InputFileError, OSError) as exc:  # OSError: a directory, a dangling link, an unreadable file
+            error = exc if isinstance(exc, InputFileError) else InputFileError(prefix + name, 0, exc.strerror)
             _skip(failures, stem, f"parse error: {error}")
             continue
         by_review[stem] = sentences
@@ -216,13 +214,18 @@ def run_pipeline(
     Graphs are built in the calling thread; workers is accepted and has no
     effect. Per-review failures are logged and counted, never abort the batch:
     a parse whose stem names no ingested or skipped review is quarantined
-    under that stem before any graph is built. Classifier verdicts that fail
-    to parse skip just the affected event.
+    under that stem, and an ingested review with no parse and no failure yet
+    as "no parse file", before any graph is built. Classifier verdicts that
+    fail to parse skip just the affected event.
     """
     if failures is None:
         failures = []
-    for stem in sorted(set(parses) - {r.review_id for r in reviews} - {rid for rid, _ in failures}):
+    quarantined = {rid for rid, _ in failures}
+    for stem in sorted(set(parses) - {r.review_id for r in reviews} - quarantined):
         _skip(failures, stem, f"parse file {stem}.conllu names no ingested or skipped review")
+    for record in reviews:
+        if record.review_id not in parses and record.review_id not in quarantined:
+            _skip(failures, record.review_id, "no parse file")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,18 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from mea import read_text, split_fields
+from mea import InputFileError, read_text, split_fields
 from mea.belief import (
     BeliefSource,
     BeliefTuple,
-    LexiconFormatError,
     PosClass,
     TaxonomyCycleError,
     load_lexicon,
     normalize_word,
 )
 from mea.dag import ActionClass
-from mea.extraction import FIRST_PERSON_LEMMAS, Combo, ConlluError, PerceptionLink, Tense
+from mea.extraction import FIRST_PERSON_LEMMAS, Combo, PerceptionLink, Tense
 from mea.llm import ClientConfig, ClientMode, LlmClient
 from mea.nature import NODE_ORDER, NatureNodeId, default_graph, find_cycle, opposite_node, reachable
 
@@ -124,7 +123,7 @@ def reference_parse_conllu(path) -> list[list[tuple]]:
         nonlocal has_review_id, rows
         if rows:
             if not has_review_id:
-                raise ConlluError(str(path), start_line, "sentence has no review_id comment")
+                raise InputFileError(str(path), start_line, "sentence has no review_id comment")
             tokens = []
             fault = None  # the first sentence-level fault, reported after any token's own fault
             roots = 0
@@ -133,13 +132,13 @@ def reference_parse_conllu(path) -> list[list[tuple]]:
                     idx = int(fields[0])
                     head = int(fields[6])
                 except ValueError:
-                    raise ConlluError(str(path), line_no, "ID and HEAD must be integers") from None
+                    raise InputFileError(str(path), line_no, "ID and HEAD must be integers") from None
                 if idx < 1:
-                    raise ConlluError(str(path), line_no, f"token index must be >= 1, got {idx}")
+                    raise InputFileError(str(path), line_no, f"token index must be >= 1, got {idx}")
                 if head == idx:
-                    raise ConlluError(str(path), line_no, f"token {idx} heads itself")
+                    raise InputFileError(str(path), line_no, f"token {idx} heads itself")
                 if not fields[4]:
-                    raise ConlluError(str(path), line_no, f"token {idx} has an empty POS tag")
+                    raise InputFileError(str(path), line_no, f"token {idx} has an empty POS tag")
                 if fault is None:
                     if idx != pos:
                         fault = f"token indices not contiguous at position {pos}"
@@ -150,11 +149,11 @@ def reference_parse_conllu(path) -> list[list[tuple]]:
             if fault is None and roots != 1:
                 fault = f"expected exactly one root token, found {roots}"
             if fault is not None:
-                raise ConlluError(str(path), start_line, fault)
+                raise InputFileError(str(path), start_line, fault)
             sentences.append(tokens)
         has_review_id, rows = False, []
 
-    for line_no, raw in enumerate(read_text(path, ConlluError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             flush()
             continue
@@ -162,10 +161,10 @@ def reference_parse_conllu(path) -> list[list[tuple]]:
             m = _REVIEW_ID_RE.match(raw)
             if m:
                 if m.group(1) != path.stem:
-                    raise ConlluError(str(path), line_no, f"review_id {m.group(1)!r} does not match the file name")
+                    raise InputFileError(str(path), line_no, f"review_id {m.group(1)!r} does not match the file name")
                 has_review_id = True
             continue
-        fields = split_fields(raw, 10, path, line_no, ConlluError)
+        fields = split_fields(raw, 10, path, line_no)
         if not rows:
             start_line = line_no
         rows.append((line_no, fields))
@@ -187,12 +186,12 @@ def reference_compile_food_lexicon(dump_path, exclusions=()) -> set[BeliefTuple]
     children: dict[str, list[str]] = {}
     lemmas: dict[str, list[str]] = {}
     synsets: set[str] = set()
-    for line_no, raw in enumerate(read_text(dump_path, LexiconFormatError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(dump_path).splitlines(), start=1):
         if not raw.strip():
             continue
-        first, second = split_fields(raw, 2, dump_path, line_no, LexiconFormatError)
+        first, second = split_fields(raw, 2, dump_path, line_no)
         if not _REFERENCE_SYNSET_RE.match(first):
-            raise LexiconFormatError(str(dump_path), line_no, f"first field is not a noun synset id: {first!r}")
+            raise InputFileError(str(dump_path), line_no, f"first field is not a noun synset id: {first!r}")
         synsets.add(first)
         if _REFERENCE_SYNSET_RE.match(second):
             children.setdefault(first, []).append(second)
@@ -234,16 +233,16 @@ class ReferenceSense:
 def reference_parse_sense_file(path) -> list[ReferenceSense]:
     path = Path(path)
     records: list[ReferenceSense] = []
-    for line_no, raw in enumerate(read_text(path, LexiconFormatError).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no, LexiconFormatError)
+        lemma, pos_s, pos_score_s, neg_score_s, sense_id = split_fields(raw, 5, path, line_no)
         try:
             records.append(
                 ReferenceSense(lemma, PosClass(pos_s), float(pos_score_s), float(neg_score_s), sense_id)
             )
         except ValueError as exc:
-            raise LexiconFormatError(str(path), line_no, str(exc)) from None
+            raise InputFileError(str(path), line_no, str(exc)) from None
     return records
 
 

@@ -5,13 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_compile_food_lexicon, reference_parse_sense_file
+from mea import InputFileError
 from mea.belief import (
     BeliefLexicon,
     BeliefSource,
     BeliefTuple,
     EmotionBaseWord,
     EmotionClass,
-    LexiconFormatError,
     PosClass,
     SenseRecord,
     TaxonomyCycleError,
@@ -158,7 +158,7 @@ def test_food_compile_reports_a_5000_long_cycle(tmp_path):
 def test_food_compile_reports_malformed_line(tmp_path):
     dump = tmp_path / "dump.tsv"
     dump.write_text("food.n.01\tfood\nbroken line without tab\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         compile_food_lexicon(dump)
     assert exc.value.line_no == 2
 
@@ -167,7 +167,7 @@ def outcome(read, *args):
     """What a reader returns, or the type, text, line and cycle of what it raises."""
     try:
         return read(*args)
-    except (LexiconFormatError, TaxonomyCycleError) as exc:
+    except (InputFileError, TaxonomyCycleError) as exc:
         return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "cycle", None)
 
 
@@ -364,7 +364,7 @@ def test_emotion_fixture_file(data_dir):
 def test_emotion_file_rejects_unknown_class(tmp_path):
     path = tmp_path / "emotions.tsv"
     path.write_text("blissful\tEcstasy\tadjective\tbase\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_emotion_file(path)
     assert str(exc.value) == f"{path}:1: 'Ecstasy' is not a valid EmotionClass"
 
@@ -372,7 +372,7 @@ def test_emotion_file_rejects_unknown_class(tmp_path):
 def test_emotion_file_extension_needs_matching_base(tmp_path):
     path = tmp_path / "emotions.tsv"
     path.write_text("cheerful\tJoy\tadjective\tbase\nscared\tFear\tadjective\textension\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError):
+    with pytest.raises(InputFileError):
         parse_emotion_file(path)
     # The nearest base row decides, and there must be one.
     for rows, message in [
@@ -380,7 +380,7 @@ def test_emotion_file_extension_needs_matching_base(tmp_path):
         ("glad\tJoy\tadjective\textension\n", "1: extension row before any base row"),
     ]:
         path.write_text(rows, encoding="utf-8")
-        with pytest.raises(LexiconFormatError) as exc:
+        with pytest.raises(InputFileError) as exc:
             parse_emotion_file(path)
         assert str(exc.value) == f"{path}:{message}"
 
@@ -388,7 +388,7 @@ def test_emotion_file_extension_needs_matching_base(tmp_path):
 def test_emotion_file_rejects_an_unknown_kind_at_its_line(tmp_path):
     path = tmp_path / "emotions.tsv"
     path.write_text("cheerful\tJoy\tadjective\tbase\nglad\tJoy\tadjective\tbasis\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_emotion_file(path)
     assert str(exc.value) == f"{path}:2: kind must be base or extension, got 'basis'"
 
@@ -417,11 +417,11 @@ def test_serialize_empty_lexicon_is_header_only():
 
 
 def test_deserialize_reports_bad_lines():
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         loads_lexicon("#mea-lexicon v1\nmeatball\tfood\n")
     assert exc.value.line_no == 2
     for text in ("no header\n", ""):
-        with pytest.raises(LexiconFormatError) as exc:
+        with pytest.raises(InputFileError) as exc:
             loads_lexicon(text)
         assert (str(exc.value), exc.value.line_no) == ("<string>:1: missing header '#mea-lexicon v1'", 1)
 
@@ -435,7 +435,7 @@ def test_deserialize_reports_bad_lines():
     ],
 )
 def test_lexicon_rejects_an_unknown_value_at_its_line(row, message):
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         loads_lexicon(f"#mea-lexicon v1\nmeatball\tfood\twordnet_hyponym\tnoun\n{row}\n", origin="lex.tsv")
     assert str(exc.value) == f"lex.tsv:3: {message}"
 
@@ -443,7 +443,7 @@ def test_lexicon_rejects_an_unknown_value_at_its_line(row, message):
 def test_sense_file_rejects_an_unknown_pos_class_at_its_line(tmp_path):
     path = tmp_path / "senses.tsv"
     path.write_text("# lemma\tpos\ntasty\tadjective\t0.8\t0.0\ts1\nfast\tadverb\t0.8\t0.0\ts2\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_sense_file(path)
     assert str(exc.value) == f"{path}:3: 'adverb' is not a valid PosClass"
 
@@ -451,7 +451,7 @@ def test_sense_file_rejects_an_unknown_pos_class_at_its_line(tmp_path):
 def test_emotion_file_rejects_an_unknown_pos_class_at_its_line(tmp_path):
     path = tmp_path / "emotions.tsv"
     path.write_text("cheerful\tJoy\tadjective\tbase\nblissful\tJoy\tadverb\tbase\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_emotion_file(path)
     assert str(exc.value) == f"{path}:2: 'adverb' is not a valid PosClass"
 
@@ -487,7 +487,7 @@ def test_emotion_file_rejects_an_unknown_pos_class_at_its_line(tmp_path):
     ],
 )
 def test_lexicon_reports_the_first_duplicate_or_conflict_at_line_0(rows, message):
-    with pytest.raises(LexiconFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         loads_lexicon("#mea-lexicon v1\n" + "\n".join(rows) + "\n", origin="lex.tsv")
     assert str(exc.value) == f"lex.tsv:0: {message}"
 

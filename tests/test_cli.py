@@ -127,6 +127,27 @@ def test_an_unreadable_parse_entry_quarantines_only_its_review(tmp_path, entry, 
     assert failures == [f"5\tparse error: {parses / '5.conllu'}:0: {reason}"]
 
 
+@pytest.mark.parametrize("malformed_3", [False, True], ids=["missing", "missing-and-malformed"])
+def test_a_review_without_a_parse_file_is_quarantined_once(tmp_path, malformed_3):
+    rows = (DATA / "robust" / "reviews.csv").read_text(encoding="utf-8").splitlines()
+    reviews = tmp_path / "reviews.csv"
+    reviews.write_text("".join(row + "\n" for row in rows if row.split(",")[0] in ("Id", "1", "3", "4")), encoding="utf-8")
+    parses = tmp_path / "parses"
+    parses.mkdir()
+    for stem in ["1", "3"] if malformed_3 else ["1"]:
+        shutil.copy(DATA / "robust" / "parses" / f"{stem}.conllu", parses)
+    out = tmp_path / "out"
+    args = run_args(out, classifier="heuristic")
+    args[args.index("--reviews") + 1] = str(reviews)
+    args[args.index("--parses") + 1] = str(parses)
+    assert main(args) == 2
+    # A review whose parse file fails to parse keeps its one parse error line.
+    line_3 = f"3\tparse error: {parses / '3.conllu'}:2: token 1 has dangling head 9" if malformed_3 else "3\tno parse file"
+    assert (out / "failures.log").read_text(encoding="utf-8").splitlines() == [line_3, "4\tno parse file"]
+    assert json.loads((out / "stats.json").read_text(encoding="utf-8"))["failed_reviews"] == 2
+    assert (out / "1.json").exists()
+
+
 def test_non_utf8_reviews_file_is_fatal_with_file_and_line(tmp_path, caplog):
     reviews = tmp_path / "reviews.csv"
     reviews.write_bytes("Id,Text\n1,caf\u00e9 au lait\n".encode("latin-1"))
@@ -234,6 +255,21 @@ def test_llm_filter_without_a_model_classifier_is_fatal_before_reading_dumps(tmp
         main(args + ["--out", str(out), "--llm-filter"] + mode)
     assert exc.value.code == 2
     assert f"argument --llm-filter: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [("replay", "replay mode requires a fixture file"), ("live", "MEA_LLM_ENDPOINT must be an http(s):// URL, got ''")],
+    ids=["replay", "live"],
+)
+def test_a_bad_llm_filter_configuration_is_fatal_before_reading_dumps(tmp_path, caplog, monkeypatch, mode, message):
+    monkeypatch.delenv("MEA_LLM_ENDPOINT", raising=False)
+    monkeypatch.setattr("mea.belief.compile_food_lexicon", lambda *args: pytest.fail("no dump may be read"))
+    out = tmp_path / "lexicon.tsv"
+    args = ["compile-lexicon", "--wordnet", str(DATA / "wordnet_dump.tsv"), "--sentiwordnet", str(tmp_path / "missing.tsv")]
+    assert main(args + ["--emotions", str(DATA / "emotions.tsv"), "--llm-filter", mode, "--out", str(out)]) == 1
+    assert message in caplog.text
     assert not out.exists()
 
 

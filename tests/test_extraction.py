@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import mea.extraction
 from conftest import detect_negation, reference_detect_perception, reference_parse_conllu, sentence
+from mea import InputFileError
 from mea.belief import BeliefLexicon, BeliefSource, BeliefTuple, PosClass
 from mea.extraction import (
     Combo,
-    ConlluError,
     Event,
     Token,
     Tense,
@@ -63,7 +63,7 @@ def test_parse_rejects_dangling_head(tmp_path):
         "2\tfreeze\tfreeze\tVERB\tVBP\t_\t0\troot\t_\t_\n",
         encoding="utf-8",
     )
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert "dangling head" in str(exc.value)
 
@@ -76,7 +76,7 @@ def test_parse_rejects_multiple_roots(tmp_path):
         "2\tfreeze\tfreeze\tVERB\tVBP\t_\t0\troot\t_\t_\n",
         encoding="utf-8",
     )
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert "root" in str(exc.value)
 
@@ -84,7 +84,7 @@ def test_parse_rejects_multiple_roots(tmp_path):
 def test_parse_rejects_malformed_row_with_line_number(tmp_path):
     path = tmp_path / "r1.conllu"
     path.write_text("# review_id = r1\n1\tI\ti\tPRP\n", encoding="utf-8")
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert exc.value.line_no == 2
 
@@ -92,7 +92,7 @@ def test_parse_rejects_malformed_row_with_line_number(tmp_path):
 def test_parse_requires_review_id(tmp_path):
     path = tmp_path / "r1.conllu"
     path.write_text("1\tX\tx\tNOUN\tNN\t_\t0\troot\t_\t_\n", encoding="utf-8")
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert "review_id" in str(exc.value)
 
@@ -107,7 +107,7 @@ def test_parse_requires_a_review_id_in_every_sentence(tmp_path):
         "1\tX\tx\tNOUN\tNN\t_\t0\troot\t_\t_\n",
         encoding="utf-8",
     )
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert str(exc.value) == f"{path}:5: sentence has no review_id comment"
 
@@ -166,17 +166,17 @@ def _conllu_sentences(draw):
     b"# review_id = r\n1\tI\ti\tPRON\t\t_\t0\troot\t_\t_\n2\tx\tx\n"
 )
 def test_parse_raises_only_conllu_error_on_arbitrary_bytes(tmp_path_factory, data):
-    """Whatever the bytes, parse_conllu agrees with the reference reader: the same ConlluError text, or equal tokens."""
+    """Whatever the bytes, parse_conllu agrees with the reference reader: the same InputFileError text, or equal tokens."""
     path = tmp_path_factory.getbasetemp() / "r.conllu"
     path.write_bytes(data)
     try:
         expected = reference_parse_conllu(path)
-    except ConlluError as exc:
+    except InputFileError as exc:
         expected = exc
     try:
         actual = [[tuple(token) for token in s.tokens] for s in parse_conllu(path)]
-    except ConlluError as exc:
-        assert isinstance(expected, ConlluError), f"reference read {expected}, parse_conllu raised {exc}"
+    except InputFileError as exc:
+        assert isinstance(expected, InputFileError), f"reference read {expected}, parse_conllu raised {exc}"
         assert (str(exc), exc.line_no) == (str(expected), expected.line_no)
     else:
         assert actual == expected
@@ -199,7 +199,7 @@ def test_parse_rejects_malformed_token_at_its_line(tmp_path, token_row, message,
     """Token checks name the token's line; sentence checks (contiguity) name the sentence's first line."""
     path = tmp_path / "r1.conllu"
     path.write_text("# review_id = r1\n" + _I_FREEZE + token_row, encoding="utf-8")
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert str(exc.value) == f"{path}:{line_no}: {message}"
     assert exc.value.line_no == line_no
@@ -212,7 +212,7 @@ def test_parse_rejects_a_review_id_other_than_the_file_name(tmp_path):
         "# review_id = 1\n" + _I_FREEZE + "2\tgo\tgo\tVERB\tVBP\t_\t0\troot\t_\t_\n",
         encoding="utf-8",
     )
-    with pytest.raises(ConlluError) as exc:
+    with pytest.raises(InputFileError) as exc:
         parse_conllu(path)
     assert str(exc.value) == f"{path}:5: review_id '1' does not match the file name"
 

@@ -13,10 +13,10 @@ import pytest
 
 import mea.llm
 from conftest import DATA, make_replay_client
+from mea import InputFileError
 from mea.dag import ActionClass
 from mea.llm import (
     MAX_IN_FLIGHT,
-    CacheFormatError,
     ClientConfig,
     ClientMode,
     LlmClient,
@@ -276,7 +276,7 @@ def test_cache_rejects_corrupt_entries(tmp_path):
         "timestamp": 0.0,
     }
     path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(InputFileError):
         LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
 
 
@@ -292,7 +292,7 @@ def test_cache_rejects_label_outside_set(tmp_path):
         "timestamp": 0.0,
     }
     path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(InputFileError):
         LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
 
 
@@ -311,7 +311,7 @@ def test_cache_rejects_an_unknown_template_at_its_line(tmp_path):
     path = tmp_path / "fixture.jsonl"
     line = {**_ENTRY, "template": "mystery", "key": cache_key("mystery", "I buy it", "glm-4")}
     path.write_text(json.dumps(_ENTRY) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
-    with pytest.raises(CacheFormatError, match="unknown template 'mystery'") as exc:
+    with pytest.raises(InputFileError, match="unknown template 'mystery'") as exc:
         LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
     assert exc.value.line_no == 2
 
@@ -330,7 +330,7 @@ def test_cache_rejects_an_unknown_template_at_its_line(tmp_path):
 def test_cache_rejects_lines_that_are_not_objects_of_strings(tmp_path, line):
     path = tmp_path / "fixture.jsonl"
     path.write_text(json.dumps(_ENTRY) + "\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(CacheFormatError) as exc:
+    with pytest.raises(InputFileError) as exc:
         LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
     assert exc.value.line_no == 2
 
@@ -340,7 +340,7 @@ def test_cache_line_missing_a_field_names_it(tmp_path, name):
     path = tmp_path / "fixture.jsonl"
     line = {k: v for k, v in _ENTRY.items() if k != name}
     path.write_text(json.dumps(_ENTRY) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
-    with pytest.raises(CacheFormatError, match=f"missing field '{name}'") as exc:
+    with pytest.raises(InputFileError, match=f"missing field '{name}'") as exc:
         LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path))
     assert exc.value.line_no == 2
 

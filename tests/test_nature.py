@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mea import InputFileError
 from mea.dag import forward_transmit
 from mea.nature import (
     CycleError,
-    GraphFileError,
     NatureEdge,
     NatureGraph,
     NatureNodeId,
@@ -253,20 +253,20 @@ def test_graph_file_round_trip(tmp_path):
 def test_graph_file_errors(tmp_path):
     bad_node = tmp_path / "bad_node.tsv"
     bad_node.write_text("emo_pos\tnirvana\t1\n", encoding="utf-8")
-    with pytest.raises(GraphFileError) as exc:
+    with pytest.raises(InputFileError) as exc:
         load_graph_file(bad_node)
     assert exc.value.line_no == 1
 
     bad_flag = tmp_path / "bad_flag.tsv"
     bad_flag.write_text("emo_pos\tneed_food_pos\tyes\n", encoding="utf-8")
-    with pytest.raises(GraphFileError):
+    with pytest.raises(InputFileError):
         load_graph_file(bad_flag)
 
 
 def test_a_graph_file_self_loop_is_an_error_at_its_line(tmp_path):
     path = tmp_path / "graph.tsv"
     path.write_text("emo_pos\temo_pos\t1\n", encoding="utf-8")
-    with pytest.raises(GraphFileError) as exc:
+    with pytest.raises(InputFileError) as exc:
         load_graph_file(path)
     assert exc.value.line_no == 1
     assert str(exc.value) == f"{path}:1: self-loop on emo_pos"
@@ -275,7 +275,7 @@ def test_a_graph_file_self_loop_is_an_error_at_its_line(tmp_path):
 def test_a_graph_file_duplicate_edge_is_an_error_of_the_whole_file(tmp_path):
     path = tmp_path / "graph.tsv"
     path.write_text("emo_pos\tneed_food_pos\t1\nemo_pos\tneed_food_pos\t0\n", encoding="utf-8")
-    with pytest.raises(GraphFileError) as exc:
+    with pytest.raises(InputFileError) as exc:
         load_graph_file(path)
     assert exc.value.line_no == 0
     assert str(exc.value) == f"{path}:0: duplicate edge emo_pos -> need_food_pos"
