@@ -34,7 +34,7 @@ ENDPOINT_ENV = "MEA_LLM_ENDPOINT"
 API_KEY_ENV = "MEA_LLM_API_KEY"
 MODEL_ENV = "MEA_LLM_MODEL"
 DEFAULT_MODEL = "glm-4"
-MAX_IN_FLIGHT = 4  # concurrent requests per client
+MAX_IN_FLIGHT = 16  # concurrent requests per client
 REQUEST_TIMEOUT_S = 30.0  # per live request
 RETRIES = 2  # further attempts after a live request's transport error
 
@@ -254,19 +254,26 @@ class LlmClient:
         self._joins: Counter[str] = Counter()  # callers waiting on another's request, by cache key
         self.calls = 0
         self.cache_hits = 0
-        # Replay answers from the fixture alone; live mode from its own cache file.
+        # Replay answers from the fixture alone; live mode from its own cache file,
+        # created here if missing and appended to through one descriptor until close().
         self._cache: dict[str, str | Future[str]] = {}
+        self._cache_fd: int | None = None
         if config.mode is ClientMode.REPLAY:
             self._cache = _load_entries(config.fixture_path)
-        elif config.mode is ClientMode.LIVE and config.cache_path is not None and Path(config.cache_path).exists():
-            self._cache = _load_entries(Path(config.cache_path))
+        elif config.mode is ClientMode.LIVE and config.cache_path is not None:
+            if Path(config.cache_path).exists():
+                self._cache = _load_entries(Path(config.cache_path))
+            self._cache_fd = os.open(config.cache_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
 
     def close(self) -> None:
-        """Cancel the requests not yet started and stop the request threads once the rest are done."""
+        """Cancel the requests not yet started; once the rest are done, stop their threads and close the cache file."""
         self._requests.shutdown(cancel_futures=True)
         with self._lock:  # a started request settles its key itself, so the requests left were cancelled
             self._cache = {key: label for key, label in self._cache.items() if isinstance(label, str)}
             self._joins.clear()
+            if self._cache_fd is not None:  # no request is left to write to it
+                os.close(self._cache_fd)
+                self._cache_fd = None
 
     def stats(self) -> tuple[int, int]:
         """Calls, and the calls answered by a cached label or by another call's successful request."""
@@ -368,18 +375,18 @@ class LlmClient:
                 raise LlmParseError(
                     f"response is not one of {sorted(template.expected_labels)}", raw_response=raw
                 )
+            line = (key, template.name, input_text, self.config.model, raw, label, time.time())
+            entry = (json.dumps(dict(zip(_CACHE_FIELDS, line))) + "\n").encode()
+            with self._lock:
+                if self._cache_fd is not None:  # one unbuffered write: a whole line, on file before its label is cached
+                    os.write(self._cache_fd, entry)
+                self.cache_hits += self._joins.pop(key, 0)
+                self._cache[key] = label
         except Exception:
             with self._lock:  # not cached, so a later caller requests it again
                 del self._cache[key]
                 self._joins.pop(key, None)
             raise
-        line = (key, template.name, input_text, self.config.model, raw, label, time.time())
-        with self._lock:
-            self.cache_hits += self._joins.pop(key, 0)
-            self._cache[key] = label
-            if self.config.cache_path is not None:
-                with open(self.config.cache_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(dict(zip(_CACHE_FIELDS, line))) + "\n")
         return label
 
     def _request(self, prompt: str) -> str:

@@ -144,8 +144,8 @@ def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[Revi
     id_rows = Counter(review_id for review_id, _ in rows)
     records: list[ReviewRecord] = []
     for review_id, text in rows:
-        if not review_id:
-            _skip(failures, "<missing id>", "missing Id value")
+        if not review_id:  # quarantined under its own empty id, which no accepted Id can equal
+            _skip(failures, review_id, "missing Id value")
         elif review_id in (".", "..") or _UNSAFE_ID_CHAR.search(review_id):
             _skip(failures, review_id, "Id must not be . or .. or contain /, \\ or control characters")
         elif f"{review_id}.json" in (INDEX_FILE, STATS_FILE):

@@ -165,6 +165,18 @@ def test_live_run_without_an_endpoint_is_fatal_at_once(tmp_path, caplog, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+def test_live_run_with_a_cache_in_a_missing_directory_is_fatal_at_once(tmp_path, caplog, monkeypatch):
+    monkeypatch.setenv("MEA_LLM_ENDPOINT", "http://localhost:9/v1")
+    sent = []
+    monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: sent.append(args))
+    cache = tmp_path / "missing" / "cache.jsonl"
+    assert main(run_args(tmp_path / "out", classifier="live") + ["--cache", str(cache)]) == 1
+    assert sent == []
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"[Errno 2] No such file or directory: '{cache}'"]
+    assert not (tmp_path / "out").exists()
+    assert not cache.parent.exists()
+
+
 # Each subcommand's required options, with a value argparse accepts.
 REQUIRED = {
     "run": {"--reviews": "r.csv", "--format": "csv", "--parses": "p", "--lexicon": "l.tsv", "--classifier": "replay", "--out": "o"},

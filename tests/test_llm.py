@@ -2,7 +2,9 @@ import dataclasses
 import http.server
 import io
 import json
+import os
 import socket
+import stat
 import sys
 import threading
 import time
@@ -424,6 +426,63 @@ def test_cache_survives_client_restart(tmp_path):
     assert fresh.stats() == (1, 1)
 
 
+def descriptors_on(path):
+    """How many of this process's descriptors are open on path."""
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return targets.count(str(path.resolve()))
+
+
+def test_live_client_creates_its_cache_file_at_start_as_an_append_would(tmp_path):
+    live_client(RecordingTransport({}), tmp_path).close()
+    cache, other = tmp_path / "cache.jsonl", tmp_path / "other.jsonl"
+    open(other, "a", encoding="utf-8").close()
+    assert cache.read_bytes() == b""
+    assert stat.S_IMODE(cache.stat().st_mode) == stat.S_IMODE(other.stat().st_mode)
+
+
+def test_live_client_with_a_cache_in_a_missing_directory_fails_at_start(tmp_path):
+    config = ClientConfig(endpoint="http://example.invalid/v1", cache_path=tmp_path / "missing" / "cache.jsonl")
+    with pytest.raises(FileNotFoundError):
+        LlmClient(config, transport=RecordingTransport({}))
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc/self/fd")
+def test_close_leaves_no_descriptor_open_on_the_cache_file(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    transport = RecordingTransport({"I wash the apples": "physical", "I peel the apples": "physical"})
+    client = live_client(transport, tmp_path)
+    assert descriptors_on(cache) == 1
+    client.classify_action_event("I wash the apples")
+    client.classify_action_event("I peel the apples")
+    assert descriptors_on(cache) == 1  # every line goes through the one descriptor
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+    client.close()
+    assert descriptors_on(cache) == 0
+    client.close()  # closing again closes nothing twice
+
+
+def test_a_failed_cache_write_leaves_the_text_uncached(tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.llm, "RETRIES", 0)
+    transport = RecordingTransport({"I wash the apples": "physical"})
+    client = live_client(transport, tmp_path)
+    writable, client._cache_fd = client._cache_fd, os.open(tmp_path / "cache.jsonl", os.O_RDONLY)
+    with pytest.raises(OSError):
+        client.classify_action_event("I wash the apples")
+    os.close(client._cache_fd)
+    client._cache_fd = writable
+    assert client.classify_action_event("I wash the apples") is ActionClass.PHYSICAL  # requested again, not a hit
+    assert len(transport.calls) == 2
+    assert client.stats() == (2, 0)
+    client.close()
+    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+
+
 def test_unparseable_response_is_an_error_not_a_guess(tmp_path):
     transport = RecordingTransport({"I blorp": "probably physical, hard to say"})
     client = live_client(transport, tmp_path)
@@ -614,7 +673,7 @@ def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_p
     assert isinstance(again, LlmTransportError)
     assert client.stats() == (3, 0)
     assert len(transport.calls) == 2
-    assert not (tmp_path / "cache.jsonl").exists()
+    assert (tmp_path / "cache.jsonl").read_bytes() == b""  # created at start; no failed request is written
 
 
 def test_classify_action_events_answers_replay_and_heuristic_texts_in_place(replay_client):

@@ -348,6 +348,15 @@ def test_a_parse_file_cannot_add_sentences_to_another_review(data_dir, tmp_path)
     assert graph_1 == (tmp_path / "alone" / "run" / "out" / "1.json").read_bytes()
 
 
+def test_a_row_without_an_id_does_not_hide_a_review_of_any_id(data_dir, tmp_path):
+    rows = [("", "I eat."), ("<missing id>", "I eat bread.")]
+    stats, failures = run_csv_corpus(data_dir, tmp_path, rows, {})
+    assert failures == [("", "missing Id value"), ("<missing id>", "no parse file")]
+    assert (stats.total_reviews, stats.failed_reviews) == (1, 2)
+    log_lines = (tmp_path / "run" / "out" / "failures.log").read_text(encoding="utf-8").splitlines()
+    assert log_lines == ["\tmissing Id value", "<missing id>\tno parse file"]
+
+
 def test_every_row_of_a_duplicated_csv_id_is_quarantined(data_dir, tmp_path):
     rows = [("7", "I bought this brand."), ("8", "I bought this brand."), ("7", "Another text.")]
     stats, failures = run_csv_corpus(data_dir, tmp_path, rows, {"7": "7", "8": "8"})
