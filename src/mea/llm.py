@@ -177,9 +177,12 @@ def _http_transport(config: ClientConfig, prompt: str) -> str:
     except (OSError, ValueError, http.client.HTTPException) as exc:  # OSError: HTTP status, URL and timeout errors
         raise LlmTransportError(str(exc)) from exc
     try:
-        return json.loads(raw)["choices"][0]["message"]["content"]
+        content = json.loads(raw)["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise LlmTransportError(f"malformed completion response: {exc}") from exc
+    if not isinstance(content, str):  # null, a number, a list: no label can be read from it
+        raise LlmTransportError(f"malformed completion response: content is {type(content).__name__}, not a string")
+    return content
 
 
 Transport = Callable[[ClientConfig, str], str]
@@ -282,29 +285,26 @@ class LlmClient:
 
     def classify_action_event(self, text: str) -> ActionClass:
         """Classify one first-person action event as mental, physical or social: a batch of one, awaited."""
-        answers = self.classify_action_events([text])
-        [answer] = answers.result() if isinstance(answers, Future) else answers
+        answers: Future[list[ActionClass | Exception]] = Future()
+        self.classify_action_events([text], answers.set_result)
+        [answer] = answers.result()
         if isinstance(answer, Exception):
             raise answer
         return answer
 
     def classify_action_events(
-        self, texts: Sequence[str]
-    ) -> list[ActionClass | Exception] | Future[list[ActionClass | Exception]]:
+        self, texts: Sequence[str], answered: Callable[[list[ActionClass | Exception]], None]
+    ) -> None:
         """Classify first-person action events as mental, physical or social, without waiting on the endpoint.
 
         Each text gets its class, or the exception classifying it raised (a
-        ValueError for blank text): as a list when every text is answered now
-        (cached, fixture and heuristic texts are), else as a future, done when
-        the last request it needs is.
+        ValueError for blank text). answered gets them all, once: in the
+        calling thread before this returns when every text is answered now
+        (cached, fixture and heuristic texts are), else in the thread that
+        completes the last request the texts need.
         """
         outcomes = [self._start_classify(text) for text in texts]
-        requests = [o for o in outcomes if isinstance(o, Future)]
-        if not requests:
-            return outcomes
-        answers: Future[list[ActionClass | Exception]] = Future()
-        _when_done(requests, lambda: answers.set_result([_settled(o) for o in outcomes]))
-        return answers
+        _when_done([o for o in outcomes if isinstance(o, Future)], lambda: answered([_settled(o) for o in outcomes]))
 
     def _start_classify(self, text: str) -> ActionClass | Exception | Future[str]:
         try:

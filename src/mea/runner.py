@@ -10,10 +10,10 @@ import os
 import random
 import re
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, as_completed, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from queue import SimpleQueue
+from typing import Sequence
 
 from . import InputFileError, read_text
 from .belief import BeliefLexicon
@@ -70,22 +70,18 @@ class CorpusStats:
 
 
 class ReportValidationError(Exception):
-    def __init__(self, offenders: list[str]):
+    def __init__(self, offenders: list[str], what: str = "error types"):
         self.offenders = offenders
-        super().__init__("unknown error types: " + ", ".join(offenders))
+        super().__init__(f"unknown {what}: " + ", ".join(offenders))
 
 
-def ingest_reviews(
-    path: str | Path,
-    fmt: str,
-    failures: list[tuple[str, str]] | None = None,
-) -> list[ReviewRecord]:
+def ingest_reviews(path: str | Path, fmt: str, failures: list[tuple[str, str]]) -> list[ReviewRecord]:
     """Read a review corpus in snap (key: value blocks) or csv (Id,Text) form.
 
     Records without usable text, CSV rows whose Id is unsafe as a file name
     or names a file the run writes for itself, and every row of a CSV Id that
-    appears more than once are skipped with a warning; when a failures list
-    is given they are recorded there for quarantine reporting.
+    appears more than once are skipped with a warning and recorded in
+    failures for quarantine reporting.
     """
     path = Path(path)
     if fmt == "snap":
@@ -95,13 +91,12 @@ def ingest_reviews(
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _skip(failures: list[tuple[str, str]] | None, review_id: str, reason: str) -> None:
+def _skip(failures: list[tuple[str, str]], review_id: str, reason: str) -> None:
     log.warning("skipping review %s: %s", review_id, reason)
-    if failures is not None:
-        failures.append((review_id, reason))
+    failures.append((review_id, reason))
 
 
-def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[ReviewRecord]:
+def _ingest_snap(path: Path, failures: list[tuple[str, str]]) -> list[ReviewRecord]:
     records: list[ReviewRecord] = []
     block: dict[str, str] = {}
     ordinal = 0
@@ -131,7 +126,7 @@ def _ingest_snap(path: Path, failures: list[tuple[str, str]] | None) -> list[Rev
     return records
 
 
-def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[ReviewRecord]:
+def _ingest_csv(path: Path, failures: list[tuple[str, str]]) -> list[ReviewRecord]:
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
         if reader.fieldnames is None or "Id" not in reader.fieldnames or "Text" not in reader.fieldnames:
@@ -159,16 +154,13 @@ def _ingest_csv(path: Path, failures: list[tuple[str, str]] | None) -> list[Revi
     return records
 
 
-def load_parse_dir(
-    parse_dir: str | Path,
-    failures: list[tuple[str, str]] | None = None,
-) -> dict[str, list[ParsedSentence]]:
+def load_parse_dir(parse_dir: str | Path, failures: list[tuple[str, str]]) -> dict[str, list[ParsedSentence]]:
     """Parse every *.conllu entry in a directory, by name, into {file stem: its sentences}.
 
     A file is one review's parse and its stem is the review id; an empty file
     is a review without sentences. An entry that fails to parse or to read,
     e.g. one with a `# review_id` other than its stem or a directory,
-    quarantines that review instead of aborting the batch.
+    quarantines that review, recorded in failures, instead of aborting the batch.
     """
     parse_dir = Path(parse_dir)
     if not parse_dir.is_dir():
@@ -207,19 +199,18 @@ def run_pipeline(
     out_dir: str | Path,
     write_dot: bool = False,
     workers: int = 1,
-    failures: list[tuple[str, str]] | None = None,
+    *,
+    failures: list[tuple[str, str]],
 ) -> CorpusStats:
     """Build one graph per review with sentences, write outputs and stats.
 
     Graphs are built in the calling thread; workers is accepted and has no
-    effect. Per-review failures are logged and counted, never abort the batch:
-    a parse whose stem names no ingested or skipped review is quarantined
-    under that stem, and an ingested review with no parse and no failure yet
-    as "no parse file", before any graph is built. Classifier verdicts that
-    fail to parse skip just the affected event.
+    effect. Per-review failures are logged, counted and appended to failures,
+    never abort the batch: a parse whose stem names no ingested or skipped
+    review is quarantined under that stem, and an ingested review with no
+    parse and no failure yet as "no parse file", before any graph is built.
+    Classifier verdicts that fail to parse skip just the affected event.
     """
-    if failures is None:
-        failures = []
     quarantined = {rid for rid, _ in failures}
     for stem in sorted(set(parses) - {r.review_id for r in reviews} - quarantined):
         _skip(failures, stem, f"parse file {stem}.conllu names no ingested or skipped review")
@@ -271,28 +262,24 @@ def run_pipeline(
             stats.invalid_no_need += 1
         index_entries.append({"review_id": review_id, "sentence_count": len(parses[review_id]), "valid": dag.valid})
 
-    # Reviews whose texts wait on the endpoint, by their answers' future; each
-    # is finished once answered, in any order, so a slow request holds back no other.
-    waiting: dict[Future, tuple[int, MeaDag]] = {}
-
-    def finish_answered(answered: Iterable[Future]) -> None:
-        for answers in answered:
-            finish(*waiting.pop(answers), answers.result())
-
+    # Each prepared review is queued with its answers once they are all in, and
+    # finished from the queue in the order answered, so a slow request holds back no other.
+    answered: SimpleQueue[tuple[int, MeaDag, list[ActionClass | Exception]]] = SimpleQueue()
+    open_reviews = 0
     for position, record in enumerate(work):
         try:
             dag = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
-            answers = client.classify_action_events([event.text for event in dag.events if needs_classifier(event)])
+            texts = [event.text for event in dag.events if needs_classifier(event)]
+            client.classify_action_events(texts, lambda answers, review=(position, dag): answered.put((*review, answers)))
         except Exception as exc:  # quarantined per review
             errors[position] = exc
             continue
-        if not isinstance(answers, Future):
-            finish(position, dag, answers)
-            continue
-        waiting[answers] = (position, dag)
-        if len(waiting) >= OPEN_REVIEWS:
-            finish_answered(wait(waiting, return_when=FIRST_COMPLETED).done)
-    finish_answered(as_completed(waiting))
+        open_reviews += 1
+        while open_reviews >= OPEN_REVIEWS or not answered.empty():  # blocks only while OPEN_REVIEWS are open
+            finish(*answered.get())
+            open_reviews -= 1
+    for _ in range(open_reviews):
+        finish(*answered.get())
     for position in sorted(errors):  # failures in review order
         _skip(failures, work[position].review_id, f"pipeline error: {errors[position]}")
 
@@ -369,6 +356,9 @@ def report_errors(manifest: dict) -> dict:
         raise ReportValidationError(offenders)
 
     entries = manifest["entries"]
+    splits = [str(e["split"]) for e in entries if e["split"] not in ("short", "long")]
+    if splits:
+        raise ReportValidationError(splits, "splits")
     short = [e for e in entries if e["split"] == "short"]
     long_ = [e for e in entries if e["split"] == "long"]
     report: dict = {"samples": {}, "errors": {}}

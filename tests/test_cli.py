@@ -340,6 +340,16 @@ def test_malformed_sample_and_report_inputs_name_the_file(tmp_path, caplog, name
     assert f"{path}{message}" in caplog.text
 
 
+def test_report_rejects_an_unknown_split(tmp_path, caplog, capsys):
+    path = tmp_path / "manifest.json"
+    entries = [{"split": split, "annotations": []} for split in ("short", "Long")]
+    path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    assert main(["report", "--manifest", str(path), "--out", str(tmp_path / "report.json")]) == 1
+    assert "unknown splits: Long" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
 def run_cli_process(args):
     """``python -m mea.cli`` with args, in a fresh process whose path holds src/."""
     src = str(DATA.parent.parent / "src")

@@ -29,9 +29,9 @@ READERS = {
     "parse_emotion_file": (parse_emotion_file, ()),
     "load_word_list": (load_word_list, ()),
     "cache_or_fixture": (lambda path: LlmClient(ClientConfig(mode=ClientMode.REPLAY, fixture_path=path)), ()),
-    "reviews_snap": (lambda path: ingest_reviews(path, "snap"), ()),
+    "reviews_snap": (lambda path: ingest_reviews(path, "snap", []), ()),
     # a CSV without Id and Text columns
-    "reviews_csv": (lambda path: ingest_reviews(path, "csv"), (ValueError,)),
+    "reviews_csv": (lambda path: ingest_reviews(path, "csv", []), (ValueError,)),
 }
 
 # Pieces of every format, so that examples reach past the first line.

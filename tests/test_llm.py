@@ -126,8 +126,15 @@ def test_http_transport_posts_temperature_zero_and_reads_the_completion(monkeypa
 
 @pytest.mark.parametrize(
     "body",
-    [b'{"choices": []}', b'{"choices": "none"}', b"<html>overloaded</html>"],
-    ids=["no-choice", "choices-not-a-list", "not-json"],
+    [
+        b'{"choices": []}',
+        b'{"choices": "none"}',
+        b"<html>overloaded</html>",
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": 7}}]}',
+        b'{"choices": [{"message": {"content": ["Physical"]}}]}',
+    ],
+    ids=["no-choice", "choices-not-a-list", "not-json", "null-content", "number-content", "list-content"],
 )
 def test_http_transport_reports_a_misshapen_body_as_malformed(monkeypatch, body):
     monkeypatch.setattr(urllib.request, "urlopen", replying(body))
@@ -636,6 +643,25 @@ class GatedTransport(RecordingTransport):
         return super().__call__(config, prompt)
 
 
+def classify_events(client, texts):
+    """Call classify_action_events; return a future of what answered got.
+
+    Its thread is the thread answered ran in, and its in_place is True when
+    that is the calling thread before the call returned; a second call of
+    answered raises InvalidStateError.
+    """
+    answers, caller, returned = Future(), threading.get_ident(), []
+
+    def answered(results):
+        answers.thread = threading.get_ident()
+        answers.in_place = answers.thread == caller and not returned
+        answers.set_result(results)
+
+    assert client.classify_action_events(texts, answered) is None
+    returned.append(True)
+    return answers
+
+
 def test_classify_action_events_requests_each_distinct_miss_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mea.llm, "RETRIES", 0)
     transport = GatedTransport({"I wash": "physical", "I tell": "social", "I blorp": "no idea"})
@@ -644,10 +670,11 @@ def test_classify_action_events_requests_each_distinct_miss_once(tmp_path, monke
     assert client.classify_action_event("I tell friends") is ActionClass.SOCIAL
     transport.gate.clear()  # every lookup below happens while its request is pending
     texts = ["I wash it", "I tell friends", "I blorp", "I wash it", "I vanish", "I blorp"]
-    answers = client.classify_action_events(texts)
-    assert isinstance(answers, Future) and not answers.done()
+    answers = classify_events(client, texts)
+    assert not answers.done()
     transport.gate.set()
     results = answers.result(timeout=10)
+    assert not answers.in_place
     assert results[:2] == [ActionClass.PHYSICAL, ActionClass.SOCIAL]
     assert results[3] is ActionClass.PHYSICAL
     assert isinstance(results[2], LlmParseError) and results[5] is results[2]
@@ -663,13 +690,13 @@ def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_p
     monkeypatch.setattr(mea.llm, "RETRIES", 0)
     transport = GatedTransport({})
     client = live_client(transport, tmp_path)
-    answers = client.classify_action_events(["I vanish", "I vanish"])
+    answers = classify_events(client, ["I vanish", "I vanish"])
     transport.gate.set()
     first, repeat = answers.result(timeout=10)
     assert isinstance(first, LlmTransportError) and repeat is first
     assert client.stats() == (2, 0)
     assert len(transport.calls) == 1
-    (again,) = client.classify_action_events(["I vanish"]).result(timeout=10)
+    (again,) = classify_events(client, ["I vanish"]).result(timeout=10)
     assert isinstance(again, LlmTransportError)
     assert client.stats() == (3, 0)
     assert len(transport.calls) == 2
@@ -677,15 +704,39 @@ def test_failed_request_answers_its_waiting_repeats_and_is_requested_again(tmp_p
 
 
 def test_classify_action_events_answers_replay_and_heuristic_texts_in_place(replay_client):
-    results = replay_client.classify_action_events(["I buy it", "I juggle flaming torches", "I buy it"])
-    assert isinstance(results, list)
+    answers = classify_events(replay_client, ["I buy it", "I juggle flaming torches", "I buy it"])
+    assert answers.done() and answers.in_place
+    results = answers.result()
     assert results[0] is results[2] is ActionClass.PHYSICAL
     assert isinstance(results[1], ReplayMissError)
     assert replay_client.stats() == (3, 2)
     heuristic = LlmClient(ClientConfig(mode=ClientMode.HEURISTIC))
-    assert heuristic.classify_action_events(["I recommend it", "  "])[0] is ActionClass.SOCIAL
-    assert isinstance(heuristic.classify_action_events(["  "])[0], ValueError)
+    answers = classify_events(heuristic, ["I recommend it", "  "])
+    assert answers.done() and answers.in_place
+    assert answers.result()[0] is ActionClass.SOCIAL
+    blank = classify_events(heuristic, ["  "])
+    assert blank.done() and blank.in_place
+    assert isinstance(blank.result()[0], ValueError)
     assert heuristic.stats() == (1, 0)
+
+
+def test_answered_runs_in_the_thread_that_completes_the_last_request(tmp_path):
+    joined, first_settled, tell_thread = threading.Event(), threading.Event(), []
+
+    def transport(config, prompt):
+        if "I tell" not in prompt:
+            assert joined.wait(timeout=10)
+            return "physical"
+        assert first_settled.wait(timeout=10)  # ends after every callback on the first request ran
+        tell_thread.append(threading.get_ident())
+        return "social"
+
+    client = live_client(transport, tmp_path)
+    answers = classify_events(client, ["I wash it", "I tell friends"])
+    client.classify_action_events(["I wash it"], lambda _: first_settled.set())  # called back after the batch
+    joined.set()
+    assert answers.result(timeout=30) == [ActionClass.PHYSICAL, ActionClass.SOCIAL]
+    assert answers.thread == tell_thread[0]
 
 
 _AGREEMENT_CASES = {  # outcome -> (a fresh client, the text it classifies)
@@ -710,8 +761,7 @@ def test_one_text_gets_what_a_batch_of_one_yields(outcome, monkeypatch):
         answer = single.classify_action_event(text)
     except Exception as exc:
         answer = exc
-    answers = batch.classify_action_events([text])
-    (expected,) = answers.result(timeout=10) if isinstance(answers, Future) else answers
+    (expected,) = classify_events(batch, [text]).result(timeout=10)
     if isinstance(expected, Exception):
         assert (type(answer), str(answer)) == (type(expected), str(expected))
     else:
@@ -742,7 +792,7 @@ def test_classify_action_events_keeps_at_most_max_in_flight_requests(tmp_path):
     transport, peak = peak_counting_transport("physical")
     client = live_client(transport, tmp_path)
     texts = [f"I eat dish {i}" for i in range(3 * MAX_IN_FLIGHT)]
-    assert client.classify_action_events(texts).result(timeout=30) == [ActionClass.PHYSICAL] * len(texts)
+    assert classify_events(client, texts).result(timeout=30) == [ActionClass.PHYSICAL] * len(texts)
     assert peak[0] == MAX_IN_FLIGHT
 
 
@@ -752,9 +802,7 @@ def test_concurrent_callers_request_each_text_once(tmp_path):
     batches = [[f"I eat dish {(i * 7 + j) % 20}" for j in range(50)] for i in range(8)]
 
     def classify_batch(texts):
-        answers = client.classify_action_events(texts)
-        if isinstance(answers, Future):
-            answers.result(timeout=60)
+        classify_events(client, texts).result(timeout=60)
 
     def classify_one_by_one(texts):
         for text in texts:
@@ -802,7 +850,7 @@ def test_close_sends_only_the_requests_already_running(tmp_path, caplog, monkeyp
 
     client = live_client(transport, tmp_path)
     texts = [f"I eat dish {i}" for i in range(3 * MAX_IN_FLIGHT)]
-    answers = client.classify_action_events(texts + texts[-1:])  # the repeat joins a queued request
+    answers = classify_events(client, texts + texts[-1:])  # the repeat joins a queued request
     for _ in range(MAX_IN_FLIGHT):
         assert started.acquire(timeout=10)
     waiter_errors = []

@@ -105,7 +105,9 @@ def test_the_benchmarks_run_pipeline_call_binds_to_its_signature():
     assert "workers" in assert_binds(call, run_pipeline)
 
 
-@pytest.mark.parametrize("callee", [ClientConfig, LlmClient, load_template, default_graph, validate_graph])
+@pytest.mark.parametrize(
+    "callee", [ClientConfig, LlmClient, load_template, default_graph, validate_graph, ingest_reviews, load_parse_dir]
+)
 def test_the_benchmarks_calls_bind_to_their_signatures(callee):
     for call in benchmark_calls(callee):
         assert_binds(call, callee)

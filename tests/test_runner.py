@@ -54,7 +54,7 @@ def run_fixture_corpus(data_dir, out_dir, workers=1):
 # --- ingestion ---------------------------------------------------------------
 
 def test_ingest_snap_blocks(data_dir):
-    records = ingest_reviews(data_dir / "snap_sample.txt", "snap")
+    records = ingest_reviews(data_dir / "snap_sample.txt", "snap", [])
     assert [(r.review_id, r.text) for r in records] == [
         ("1", "Great taffy."),
         ("2", "Not as advertised."),
@@ -68,7 +68,7 @@ def test_ingest_snap_records_skips(data_dir):
 
 
 def test_ingest_csv(data_dir):
-    records = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv")
+    records = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", [])
     assert len(records) == 20
     assert records[0].review_id == "1"
     assert records[6].text == "This bread is not delicious."
@@ -76,21 +76,21 @@ def test_ingest_csv(data_dir):
 
 def test_ingest_rejects_unknown_format(data_dir):
     with pytest.raises(ValueError):
-        ingest_reviews(data_dir / "corpus" / "reviews.csv", "xml")
+        ingest_reviews(data_dir / "corpus" / "reviews.csv", "xml", [])
 
 
 def test_ingest_csv_requires_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        ingest_reviews(path, "csv")
+        ingest_reviews(path, "csv", [])
 
 
 def test_ingest_csv_field_over_the_csv_limit_names_file_and_line(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("Id,Text\n1,ok\n2," + "x" * 200_000 + "\n", encoding="utf-8")
     with pytest.raises(InputFileError) as exc:
-        ingest_reviews(path, "csv")
+        ingest_reviews(path, "csv", [])
     assert exc.value.path == str(path)
     assert exc.value.line_no == 3
 
@@ -149,8 +149,8 @@ def test_pipeline_is_deterministic_across_workers(data_dir, tmp_path):
 
 @pytest.fixture(scope="module")
 def fixture_corpus(data_dir):
-    reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv")
-    return reviews, load_parse_dir(data_dir / "corpus" / "parses"), load_lexicon(data_dir / "lexicon.tsv")
+    reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", [])
+    return reviews, load_parse_dir(data_dir / "corpus" / "parses", []), load_lexicon(data_dir / "lexicon.tsv")
 
 
 def run_reviews(corpus, ids, out_dir, workers=1):
@@ -165,6 +165,7 @@ def run_reviews(corpus, ids, out_dir, workers=1):
         make_replay_client(),
         out_dir,
         workers=workers,
+        failures=[],
     )
     graphs = {p.stem: p.read_bytes() for p in out_dir.glob("*.json") if p.stem not in ("index", "stats")}
     index = {e["review_id"]: e for e in json.loads((out_dir / "index.json").read_text())}
@@ -197,6 +198,7 @@ def test_empty_corpus_yields_zero_stats(data_dir, tmp_path):
         load_lexicon(data_dir / "lexicon.tsv"),
         make_replay_client(),
         tmp_path / "out",
+        failures=[],
     )
     assert stats.total_reviews == 0
     assert stats.reviews_with_events == 0
@@ -265,7 +267,7 @@ def test_each_action_event_is_linked_by_its_own_answer(data_dir, tmp_path, live_
     else:
         client = live_client(lambda config, prompt: "social" if "recommend" in prompt else "physical", None)
     out = tmp_path / "out"
-    run_pipeline([ReviewRecord("r", "text")], {"r": parse}, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out)
+    run_pipeline([ReviewRecord("r", "text")], {"r": parse}, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=[])
     doc = json.loads((out / "r.json").read_text(encoding="utf-8"))
     assert {"social_action", "physical_action"} <= set(doc["activated"])
     actions = [(link["event_id"], link["node"], link["justification"]) for link in doc["links"] if link["node"].endswith("_action")]
@@ -573,6 +575,13 @@ def test_report_rejects_unknown_error_types():
     assert exc.value.offenders == ["GremlinsAteIt"]
 
 
+def test_report_rejects_unknown_splits():
+    manifest = manifest_with([("short", []), ("Long", []), ("long", [])])
+    with pytest.raises(ReportValidationError, match="^unknown splits: Long$") as exc:
+        report_errors(manifest)
+    assert exc.value.offenders == ["Long"]
+
+
 def test_report_percentages_sum_to_100():
     manifest = manifest_with(
         [("short", [t]) for t in ERROR_TYPES] + [("long", [t]) for t in ERROR_TYPES[:3]]
@@ -799,6 +808,44 @@ def test_transport_error_quarantines_only_the_reviews_holding_its_text(fixture_c
     assert stats.failed_reviews == 2
     full_graphs, _ = full_run
     assert graphs == {rid: g for rid, g in full_graphs.items() if rid not in holding}
+
+
+def test_pipeline_errors_are_logged_in_review_order_when_a_later_review_fails_first(
+    data_dir, tmp_path, monkeypatch, live_client
+):
+    def parse(verb):
+        return [sentence([("I", "i", "PRP", 2, "nsubj"), (verb, verb, "VBP", 0, "root"), ("it", "it", "PRP", 2, "dobj")])]
+
+    later_finished, real_finish = threading.Event(), mea.runner.finish_mea_dag
+
+    def finish_mea_dag(dag, *args):
+        try:
+            return real_finish(dag, *args)
+        finally:
+            if dag.review_id == "fast":
+                later_finished.set()
+
+    monkeypatch.setattr(mea.runner, "finish_mea_dag", finish_mea_dag)
+    slow_prompt, waited = load_template("classify_action").render("I juggle it"), []
+
+    def transport(config, prompt):
+        if prompt == slow_prompt:  # the earlier review fails only once the later one has
+            waited.append(later_finished.wait(timeout=10))
+            raise LlmTransportError("slow refusal")
+        raise LlmTransportError("fast refusal")
+
+    failures = []
+    reviews = [ReviewRecord("slow", "I juggle it."), ReviewRecord("fast", "I whistle it.")]
+    parses = {"slow": parse("juggle"), "fast": parse("whistle")}
+    out = tmp_path / "out"
+    client = live_client(transport, None)
+    run_pipeline(reviews, parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=failures)
+    assert waited == [True]
+    assert failures == [("slow", "pipeline error: slow refusal"), ("fast", "pipeline error: fast refusal")]
+    assert (out / "failures.log").read_text(encoding="utf-8").splitlines() == [
+        "slow\tpipeline error: slow refusal",
+        "fast\tpipeline error: fast refusal",
+    ]
 
 
 def test_unparseable_verdict_skips_only_its_event(fixture_corpus, full_run, tmp_path, live_client):
