@@ -79,13 +79,13 @@ def _make_client(mode: str, args: argparse.Namespace) -> LlmClient:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
-    reviews = ingest_reviews(args.reviews, args.format, failures)
+    review_ids = ingest_reviews(args.reviews, args.format, failures)
     parses = load_parse_dir(args.parses, failures)
     lexicon = belief.load_lexicon(args.lexicon)
     graph = load_graph_file(args.graph) if args.graph else default_graph()
     validate_graph(graph)
     with closing(_make_client(args.classifier, args)) as client:
-        stats = run_pipeline(reviews, parses, graph, lexicon, client, args.out, write_dot=args.dot, failures=failures)
+        stats = run_pipeline(review_ids, parses, graph, lexicon, client, args.out, write_dot=args.dot, failures=failures)
     print(
         f"{stats.total_reviews} reviews, {stats.reviews_with_events} with events, "
         f"{stats.valid_dags} valid graphs, {stats.failed_reviews} failed"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import os
@@ -11,9 +10,10 @@ import random
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from queue import SimpleQueue
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import InputFileError, read_text
 from .belief import BeliefLexicon
@@ -51,12 +51,6 @@ INDEX_FILE, STATS_FILE, FAILURES_FILE = "index.json", "stats.json", "failures.lo
 
 
 @dataclass
-class ReviewRecord:
-    review_id: str
-    text: str
-
-
-@dataclass
 class CorpusStats:
     total_reviews: int = 0
     reviews_with_events: int = 0
@@ -75,20 +69,29 @@ class ReportValidationError(Exception):
         super().__init__(f"unknown {what}: " + ", ".join(offenders))
 
 
-def ingest_reviews(path: str | Path, fmt: str, failures: list[tuple[str, str]]) -> list[ReviewRecord]:
-    """Read a review corpus in snap (key: value blocks) or csv (Id,Text) form.
+def ingest_reviews(path: str | Path, fmt: str, failures: list[tuple[str, str]]) -> list[str]:
+    """Read a review corpus in snap (key: value blocks) or csv (Id,Text) form; return its review ids.
 
-    Records without usable text, CSV rows whose Id is unsafe as a file name
-    or names a file the run writes for itself, and every row of a CSV Id that
-    appears more than once are skipped with a warning and recorded in
-    failures for quarantine reporting.
+    The file is read as a stream of lines, each ended by \\n, \\r or \\r\\n, and
+    no review text is held. Records without usable text, CSV rows whose Id
+    is unsafe as a file name or names a file the run writes for itself, and
+    every row of a CSV Id that appears more than once are skipped with a
+    warning and recorded in failures for quarantine reporting, once the
+    whole file has been read.
     """
+    if fmt not in ("snap", "csv"):
+        raise ValueError(f"unknown corpus format {fmt!r}")
     path = Path(path)
-    if fmt == "snap":
-        return _ingest_snap(path, failures)
-    if fmt == "csv":
-        return _ingest_csv(path, failures)
-    raise ValueError(f"unknown corpus format {fmt!r}")
+    skips: list[tuple[str, str]] = []  # logged once the whole file has read without error
+    with open(path, encoding="utf-8", newline="") as lines:
+        try:
+            ids = _snap_ids(lines, skips) if fmt == "snap" else _csv_ids(str(path), lines, skips)
+        except (UnicodeDecodeError, InputFileError):  # a bad byte anywhere in the file is the error to report
+            read_text(path)  # raises InputFileError at the line of the first bad byte
+            raise
+    for review_id, reason in skips:
+        _skip(failures, review_id, reason)
+    return ids
 
 
 def _skip(failures: list[tuple[str, str]], review_id: str, reason: str) -> None:
@@ -96,62 +99,56 @@ def _skip(failures: list[tuple[str, str]], review_id: str, reason: str) -> None:
     failures.append((review_id, reason))
 
 
-def _ingest_snap(path: Path, failures: list[tuple[str, str]]) -> list[ReviewRecord]:
-    records: list[ReviewRecord] = []
-    block: dict[str, str] = {}
+def _snap_ids(lines: Iterable[str], skips: list[tuple[str, str]]) -> list[str]:
+    """Number the blank-line separated blocks from 1: the ids of blocks with text; a skip for each other."""
+    ids: list[str] = []
+    in_block = has_text = False
     ordinal = 0
-
-    def flush() -> None:
-        nonlocal ordinal, block
-        if not block:
-            return
-        ordinal += 1
-        review_id = str(ordinal)
-        text = block.get("review/text", "").strip()
-        if not text:
-            _skip(failures, review_id, "missing review/text field")
-        else:
-            records.append(ReviewRecord(review_id, text))
-        block = {}
-
-    for raw in read_text(path).splitlines():
+    for raw in chain(lines, [""]):  # the empty line closes the last block
         line = raw.strip()
-        if not line:
-            flush()
-            continue
-        key, sep, value = line.partition(":")
-        if sep:
-            block[key.strip()] = value.strip()
-    flush()
-    return records
+        if line:
+            key, sep, value = line.partition(":")
+            if sep:
+                in_block = True
+                if key.strip() == "review/text":  # the block's last review/text line decides
+                    has_text = bool(value.strip())
+        elif in_block:
+            ordinal += 1
+            if has_text:
+                ids.append(str(ordinal))
+            else:
+                skips.append((str(ordinal), "missing review/text field"))
+            in_block = has_text = False
+    return ids
 
 
-def _ingest_csv(path: Path, failures: list[tuple[str, str]]) -> list[ReviewRecord]:
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+def _csv_ids(path: str, lines: Iterable[str], skips: list[tuple[str, str]]) -> list[str]:
+    """The Ids of the usable rows, in file order; a skip for each other row."""
+    reader = csv.DictReader(lines)
     try:
         if reader.fieldnames is None or "Id" not in reader.fieldnames or "Text" not in reader.fieldnames:
-            raise ValueError(f"{path}: csv must have Id and Text columns")
-        rows = [((row.get("Id") or "").strip(), (row.get("Text") or "").strip()) for row in reader]
+            raise InputFileError(path, reader.line_num, "csv must have Id and Text columns")
+        rows = [((row.get("Id") or "").strip(), bool((row.get("Text") or "").strip())) for row in reader]
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         # DictReader.line_num lags on a failed row; its inner reader's does not.
-        raise InputFileError(str(path), reader.reader.line_num, str(exc)) from None
+        raise InputFileError(path, reader.reader.line_num, str(exc)) from None
     # A parse names only its review id, so no row of a repeated id can be trusted.
     id_rows = Counter(review_id for review_id, _ in rows)
-    records: list[ReviewRecord] = []
-    for review_id, text in rows:
+    ids: list[str] = []
+    for review_id, has_text in rows:
         if not review_id:  # quarantined under its own empty id, which no accepted Id can equal
-            _skip(failures, review_id, "missing Id value")
+            skips.append((review_id, "missing Id value"))
         elif review_id in (".", "..") or _UNSAFE_ID_CHAR.search(review_id):
-            _skip(failures, review_id, "Id must not be . or .. or contain /, \\ or control characters")
+            skips.append((review_id, "Id must not be . or .. or contain /, \\ or control characters"))
         elif f"{review_id}.json" in (INDEX_FILE, STATS_FILE):
-            _skip(failures, review_id, f"Id names the run's own {review_id}.json")
+            skips.append((review_id, f"Id names the run's own {review_id}.json"))
         elif id_rows[review_id] > 1:
-            _skip(failures, review_id, f"Id appears in {id_rows[review_id]} rows")
-        elif not text:
-            _skip(failures, review_id, "empty review text")
+            skips.append((review_id, f"Id appears in {id_rows[review_id]} rows"))
+        elif not has_text:
+            skips.append((review_id, "empty review text"))
         else:
-            records.append(ReviewRecord(review_id, text))
-    return records
+            ids.append(review_id)
+    return ids
 
 
 def load_parse_dir(parse_dir: str | Path, failures: list[tuple[str, str]]) -> dict[str, list[ParsedSentence]]:
@@ -191,7 +188,7 @@ def _write_file(path: str, text: str) -> None:
 
 
 def run_pipeline(
-    reviews: Sequence[ReviewRecord],
+    review_ids: Sequence[str],
     parses: dict[str, list[ParsedSentence]],
     graph: NatureGraph,
     lexicon: BeliefLexicon,
@@ -202,9 +199,10 @@ def run_pipeline(
     *,
     failures: list[tuple[str, str]],
 ) -> CorpusStats:
-    """Build one graph per review with sentences, write outputs and stats.
+    """Build one graph per ingested review id with sentences, write outputs and stats.
 
-    Graphs are built in the calling thread; workers is accepted and has no
+    review_ids are ingest_reviews' ids, in file order; parses maps a review
+    id to its sentences, as load_parse_dir returns them. Graphs are built in the calling thread; workers is accepted and has no
     effect. Per-review failures are logged, counted and appended to failures,
     never abort the batch: a parse whose stem names no ingested or skipped
     review is quarantined under that stem, and an ingested review with no
@@ -212,18 +210,18 @@ def run_pipeline(
     Classifier verdicts that fail to parse skip just the affected event.
     """
     quarantined = {rid for rid, _ in failures}
-    for stem in sorted(set(parses) - {r.review_id for r in reviews} - quarantined):
+    for stem in sorted(set(parses) - set(review_ids) - quarantined):
         _skip(failures, stem, f"parse file {stem}.conllu names no ingested or skipped review")
-    for record in reviews:
-        if record.review_id not in parses and record.review_id not in quarantined:
-            _skip(failures, record.review_id, "no parse file")
+    for review_id in review_ids:
+        if review_id not in parses and review_id not in quarantined:
+            _skip(failures, review_id, "no parse file")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = str(out_dir / "_")[:-1]  # str(out_dir / name) is out + name
-    work = [r for r in reviews if r.review_id in parses]
+    work = [review_id for review_id in review_ids if review_id in parses]
 
-    stats = CorpusStats(total_reviews=len(reviews))
+    stats = CorpusStats(total_reviews=len(review_ids))
     index_entries = []
     errors: dict[int, Exception] = {}
 
@@ -266,9 +264,9 @@ def run_pipeline(
     # finished from the queue in the order answered, so a slow request holds back no other.
     answered: SimpleQueue[tuple[int, MeaDag, list[ActionClass | Exception]]] = SimpleQueue()
     open_reviews = 0
-    for position, record in enumerate(work):
+    for position, review_id in enumerate(work):
         try:
-            dag = prepare_mea_dag(record.review_id, parses[record.review_id], graph, lexicon)
+            dag = prepare_mea_dag(review_id, parses[review_id], graph, lexicon)
             texts = [event.text for event in dag.events if needs_classifier(event)]
             client.classify_action_events(texts, lambda answers, review=(position, dag): answered.put((*review, answers)))
         except Exception as exc:  # quarantined per review
@@ -281,7 +279,7 @@ def run_pipeline(
     for _ in range(open_reviews):
         finish(*answered.get())
     for position in sorted(errors):  # failures in review order
-        _skip(failures, work[position].review_id, f"pipeline error: {errors[position]}")
+        _skip(failures, work[position], f"pipeline error: {errors[position]}")
 
     stats.failed_reviews = len(failures)
     stats.classifier_calls, stats.classifier_cache_hits = client.stats()

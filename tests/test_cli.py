@@ -350,10 +350,10 @@ def test_report_rejects_an_unknown_split(tmp_path, caplog, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def run_cli_process(args):
-    """``python -m mea.cli`` with args, in a fresh process whose path holds src/."""
+def run_cli_process(args, **env_vars):
+    """``python -m mea.cli`` with args, in a fresh process whose path holds src/ and whose env adds env_vars."""
     src = str(DATA.parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars}
     return subprocess.run([sys.executable, "-m", "mea.cli", *args], env=env, capture_output=True, text=True, timeout=60)
 
 
@@ -375,3 +375,17 @@ def test_python_dash_m_logs_as_mea_cli(tmp_path):
     result = run_cli_process(["report", "--manifest", str(tmp_path / "missing.json")])
     assert result.returncode == 1
     assert result.stderr.startswith("ERROR mea.cli: ")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """A run and a lexicon compile give the same bytes whatever order str hashing puts sets and dicts in."""
+    trees = []
+    for seed in ("0", "1"):
+        root = tmp_path / seed
+        run = run_cli_process(run_args(root / "out") + ["--dot"], PYTHONHASHSEED=seed)
+        compiled = run_cli_process(COMPILE_ARGS + REPLAY_FILTER + ["--out", str(root / "lexicon.tsv")], PYTHONHASHSEED=seed)
+        assert (run.returncode, compiled.returncode) == (0, 0)
+        files = {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        trees.append((files, (run.stdout + compiled.stdout).replace(str(root), "ROOT")))
+    assert trees[0] == trees[1]
+    assert len(trees[0][0]) == 43  # 20 graphs as .json and .dot, index.json, stats.json, lexicon.tsv

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import permutations
 from pathlib import Path
 
@@ -11,6 +11,7 @@ from conftest import detect_negation, reference_detect_perception, reference_par
 from mea import InputFileError
 from mea.belief import BeliefLexicon, BeliefSource, BeliefTuple, PosClass
 from mea.extraction import (
+    ACTION_PATTERNS,
     Combo,
     Event,
     Token,
@@ -265,6 +266,16 @@ def test_an_event_is_an_immutable_hashable_value_with_its_text_and_tense_built_o
         Event(**fields | {"verb_index": 3})
     with pytest.raises(ValueError, match="action events require a first-person subject"):
         Event(**fields | {"subject_lemma": "she"})
+
+
+def test_sentences_events_and_patterns_are_frozen_and_a_sentence_shows_only_its_tokens():
+    s = sentence(_I_ATE_IT)
+    event = Event(s, (1, 2, 4), "P2", 2, "i", False)
+    pattern = ACTION_PATTERNS[1]  # P2: one arc
+    for value, name in ((s, "tokens"), (event, "negated"), (pattern, "pattern_id"), (pattern.arcs[0], "deprel")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+    assert repr(s) == f"ParsedSentence(tokens={s.tokens!r})"  # children and negators are derived from tokens
 
 
 # --- action patterns ---------------------------------------------------------

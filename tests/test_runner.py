@@ -24,7 +24,6 @@ from mea.nature import default_graph
 from mea.runner import (
     ERROR_TYPES,
     ReportValidationError,
-    ReviewRecord,
     ingest_reviews,
     load_parse_dir,
     render_report,
@@ -54,11 +53,7 @@ def run_fixture_corpus(data_dir, out_dir, workers=1):
 # --- ingestion ---------------------------------------------------------------
 
 def test_ingest_snap_blocks(data_dir):
-    records = ingest_reviews(data_dir / "snap_sample.txt", "snap", [])
-    assert [(r.review_id, r.text) for r in records] == [
-        ("1", "Great taffy."),
-        ("2", "Not as advertised."),
-    ]
+    assert ingest_reviews(data_dir / "snap_sample.txt", "snap", []) == ["1", "2"]
 
 
 def test_ingest_snap_records_skips(data_dir):
@@ -67,11 +62,71 @@ def test_ingest_snap_records_skips(data_dir):
     assert failures == [("3", "missing review/text field")]
 
 
+SNAP_BLOCKS = [
+    ["product/productId: A", "review/score: 1.0"],
+    ["product/productId: B", "review/text: second{sep}", "review/score: 5.0"],
+    ["product/productId: C", "review/score: 2.0"],
+    ["product/productId: D", "review/text: fourth"],
+]
+SNAP_IDS, SNAP_SKIPS = ["2", "4"], [("1", "missing review/text field"), ("3", "missing review/text field")]
+
+
+def write_snap(path, sep="", newline="\n"):
+    """SNAP_BLOCKS after a blank line, each block followed by two blank lines, the second a space."""
+    lines = [""] + [line for block in SNAP_BLOCKS for line in (*block, "", " ")]
+    path.write_text("".join(line + newline for line in lines).format(sep=sep), encoding="utf-8", newline="")
+
+
+# Each sep ends a line for str.splitlines but not in a file. A reader that split with splitlines would
+# find a blank line inside block 2's text: a new block, and a shift of every later id.
+@pytest.mark.parametrize(
+    "sep, newline",
+    [(sep, "\n") for sep in ["", "\u2028\u2028", "\x0c\x0c", "\x1c", "\x0b", "\x85", "\u2029", "\x1e \x1d"]]
+    + [("", "\r\n"), ("", "\r")],
+)
+def test_ingest_snap_ends_lines_only_at_line_feed_and_carriage_return(tmp_path, sep, newline):
+    path = tmp_path / "reviews.txt"
+    write_snap(path, sep, newline)
+    failures = []
+    assert ingest_reviews(path, "snap", failures) == SNAP_IDS
+    assert failures == SNAP_SKIPS
+
+
+def test_ingest_snap_logs_no_skip_before_a_bad_byte(tmp_path, caplog):
+    path = tmp_path / "bad.txt"
+    # The bad byte lies far past the first block, which has no text, so the file is read in more than one piece.
+    path.write_bytes(b"review/score: 1.0\n\n" + b"review/text: ok\n\n" * 5000 + b"review/text: \xff\n")
+    failures = []
+    with pytest.raises(InputFileError) as exc:
+        ingest_reviews(path, "snap", failures)
+    assert (exc.value.path, exc.value.line_no) == (str(path), 10003)
+    assert failures == []
+    assert "skipping" not in caplog.text
+
+
+def test_ingest_reraises_a_decode_error_that_a_second_read_does_not_meet(tmp_path, monkeypatch):
+    path = tmp_path / "reviews.csv"
+    path.write_bytes(b"Id,Text\n1,\xff\n")
+    monkeypatch.setattr(mea.runner, "read_text", lambda path: "")  # as if the file were mended between the reads
+    with pytest.raises(UnicodeDecodeError):
+        ingest_reviews(path, "csv", [])
+
+
+# No Text column; a field over the csv module's size limit. Either is met before the bad byte is read.
+@pytest.mark.parametrize("head, lines", [(b"Id,Body\n", 1), (b"Id,Text\n1," + b"x" * 200_000 + b"\n", 2)])
+def test_ingest_csv_reports_a_bad_byte_before_a_csv_fault(tmp_path, head, lines):
+    path = tmp_path / "reviews.csv"
+    path.write_bytes(head + b"1,ok\n" * 5000 + b"2,\xff\n")
+    with pytest.raises(InputFileError) as exc:
+        ingest_reviews(path, "csv", [])
+    assert str(exc.value) == f"{path}:{lines + 5001}: not valid UTF-8"
+
+
 def test_ingest_csv(data_dir):
-    records = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", [])
-    assert len(records) == 20
-    assert records[0].review_id == "1"
-    assert records[6].text == "This bread is not delicious."
+    review_ids = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", [])
+    assert len(review_ids) == 20
+    assert review_ids[0] == "1"
+    assert review_ids == [str(i) for i in range(1, 21)]
 
 
 def test_ingest_rejects_unknown_format(data_dir):
@@ -81,9 +136,13 @@ def test_ingest_rejects_unknown_format(data_dir):
 
 def test_ingest_csv_requires_columns(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        ingest_reviews(path, "csv", [])
+    for content, line_no in [("a,b\n1,2\n", 1), ("Id\n1\n", 1), ("", 0)]:  # the header's line; 0: an empty file
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(InputFileError) as exc:
+            ingest_reviews(path, "csv", [])
+        assert type(exc.value) is InputFileError
+        assert (exc.value.path, exc.value.line_no) == (str(path), line_no)
+        assert str(exc.value) == f"{path}:{line_no}: csv must have Id and Text columns"
 
 
 def test_ingest_csv_field_over_the_csv_limit_names_file_and_line(tmp_path):
@@ -155,10 +214,9 @@ def fixture_corpus(data_dir):
 
 def run_reviews(corpus, ids, out_dir, workers=1):
     """Run the fixture reviews `ids`, in that order; return their graph bytes and index entries by id."""
-    reviews, parses, lexicon = corpus
-    by_id = {r.review_id: r for r in reviews}
+    _, parses, lexicon = corpus
     run_pipeline(
-        [by_id[i] for i in ids],
+        list(ids),
         {i: parses[i] for i in ids},
         default_graph(),
         lexicon,
@@ -267,7 +325,7 @@ def test_each_action_event_is_linked_by_its_own_answer(data_dir, tmp_path, live_
     else:
         client = live_client(lambda config, prompt: "social" if "recommend" in prompt else "physical", None)
     out = tmp_path / "out"
-    run_pipeline([ReviewRecord("r", "text")], {"r": parse}, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=[])
+    run_pipeline(["r"], {"r": parse}, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=[])
     doc = json.loads((out / "r.json").read_text(encoding="utf-8"))
     assert {"social_action", "physical_action"} <= set(doc["activated"])
     actions = [(link["event_id"], link["node"], link["justification"]) for link in doc["links"] if link["node"].endswith("_action")]
@@ -426,9 +484,9 @@ def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
         run_pipeline(reviews, parses, default_graph(), lexicon, make_replay_client(), out, write_dot=True, failures=failures)
         written = {p.relative_to(root).as_posix() for p in root.rglob("*") if out not in p.parents}
         assert written == inputs | {"run", "run/deep", "run/deep/out"}
-        for review in reviews:  # each graph is its own review's, not overwritten by a run file
-            if review.review_id in parses:
-                assert json.loads((out / f"{review.review_id}.json").read_text(encoding="utf-8"))["review_id"] == review.review_id
+        for review_id in reviews:  # each graph is its own review's, not overwritten by a run file
+            if review_id in parses:
+                assert json.loads((out / f"{review_id}.json").read_text(encoding="utf-8"))["review_id"] == review_id
 
 
 def test_non_utf8_parse_file_quarantines_only_its_review(data_dir, tmp_path):
@@ -795,7 +853,7 @@ def reviews_holding(corpus, text):
     """The ids of the reviews whose action events ask the classifier about text, in review order."""
     reviews, parses, _ = corpus
     texts = classifier_texts(parses)
-    return [r.review_id for r in reviews if text in texts[r.review_id]]
+    return [review_id for review_id in reviews if text in texts[review_id]]
 
 
 def test_transport_error_quarantines_only_the_reviews_holding_its_text(fixture_corpus, full_run, tmp_path, live_client):
@@ -835,7 +893,7 @@ def test_pipeline_errors_are_logged_in_review_order_when_a_later_review_fails_fi
         raise LlmTransportError("fast refusal")
 
     failures = []
-    reviews = [ReviewRecord("slow", "I juggle it."), ReviewRecord("fast", "I whistle it.")]
+    reviews = ["slow", "fast"]
     parses = {"slow": parse("juggle"), "fast": parse("whistle")}
     out = tmp_path / "out"
     client = live_client(transport, None)

@@ -8,6 +8,8 @@ of the module's syntax tree, written back with ast.unparse:
   - `and` and `or` swapped, a `not` dropped, True and False swapped;
   - an int constant shifted by +1 and by -1 (two mutants);
   - a `raise` statement replaced by `pass`;
+  - an `if` whose body only raises, `continue`s or `return`s dropped, as if its
+    test were always false: its `else` branch, if any, takes its place;
   - one member dropped from a tuple or set display of two or more, but not from
     the parameters of a subscript such as dict[str, int], which are mostly types.
 The repository is copied once into a temporary directory (TMPDIR sets where).
@@ -108,6 +110,13 @@ class Mutator(ast.NodeTransformer):
             node.slice.elts = [self.visit(e) for e in node.slice.elts]
         else:
             node.slice = self.visit(node.slice)
+        return node
+
+    def visit_If(self, node: ast.If) -> ast.AST | list[ast.stmt]:
+        is_guard = all(isinstance(stmt, (ast.Raise, ast.Continue, ast.Return)) for stmt in node.body)  # before any body mutant
+        self.generic_visit(node)
+        if is_guard and self._site(node, "if guard dropped"):
+            return node.orelse or ast.copy_location(ast.Pass(), node)
         return node
 
     def visit_Raise(self, node: ast.Raise) -> ast.AST:
