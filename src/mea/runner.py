@@ -19,7 +19,7 @@ from . import InputFileError, read_text
 from .belief import BeliefLexicon
 # build_mea_dag is no longer called here but stays importable: perfbench/batch.py traces it by name.
 from .dag import ActionClass, MeaDag, build_mea_dag, dumps_dag, finish_mea_dag, needs_classifier, prepare_mea_dag, to_dot  # noqa: F401
-from .extraction import PATTERN_IDS, ParsedSentence, parse_conllu
+from .extraction import PATTERN_IDS, parse_conllu
 from .llm import LlmClient, LlmParseError
 from .nature import NatureGraph, NatureNodeId
 
@@ -42,10 +42,11 @@ SHORT_SENTENCE_LIMIT = 5  # reviews with fewer sentences than this are "short"
 OPEN_REVIEWS = 256  # reviews waiting on the endpoint at once; bounds the state they hold
 
 # A review id names its output files, so it may not hold a path separator or
-# a control character (C0, DEL or C1); failures.log escapes control characters.
+# a control character (C0, DEL or C1); failures.log escapes control characters,
+# and U+2028 and U+2029, which str.splitlines also ends a line at.
 _CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
 _UNSAFE_ID_CHAR = re.compile(rf"[/\\{_CONTROL_CHARS}]")
-_CONTROL_CHAR = re.compile(rf"[{_CONTROL_CHARS}]")
+_LINE_BREAKING_CHAR = re.compile(rf"[{_CONTROL_CHARS}\u2028\u2029]")
 # The files a run writes beside its graphs.
 INDEX_FILE, STATS_FILE, FAILURES_FILE = "index.json", "stats.json", "failures.log"
 
@@ -151,29 +152,19 @@ def _csv_ids(path: str, lines: Iterable[str], skips: list[tuple[str, str]]) -> l
     return ids
 
 
-def load_parse_dir(parse_dir: str | Path, failures: list[tuple[str, str]]) -> dict[str, list[ParsedSentence]]:
-    """Parse every *.conllu entry in a directory, by name, into {file stem: its sentences}.
+def load_parse_dir(parse_dir: str | Path, failures: list[tuple[str, str]]) -> dict[str, str]:
+    """List every *.conllu entry in a directory, by name, as {file stem: its path}; read none of them.
 
-    A file is one review's parse and its stem is the review id; an empty file
-    is a review without sentences. An entry that fails to parse or to read,
-    e.g. one with a `# review_id` other than its stem or a directory,
-    quarantines that review, recorded in failures, instead of aborting the batch.
+    A file is one review's parse and its stem (as Path.stem: a bare ".conllu"
+    is all stem) is the review id. run_pipeline reads a file when it prepares
+    its review and quarantines it there, so failures records nothing here.
     """
     parse_dir = Path(parse_dir)
     if not parse_dir.is_dir():
         raise InputFileError(str(parse_dir), 0, "not a directory")
     prefix = str(parse_dir / "_")[:-1]  # str(parse_dir / name) is prefix + name; no Path per file
-    by_review: dict[str, list[ParsedSentence]] = {}
-    for name in sorted(name for name in os.listdir(parse_dir) if name.endswith(".conllu")):
-        stem = name[:-7] or name  # as Path.stem: a bare ".conllu" is all stem
-        try:
-            sentences = parse_conllu(prefix + name)
-        except (InputFileError, OSError) as exc:  # OSError: a directory, a dangling link, an unreadable file
-            error = exc if isinstance(exc, InputFileError) else InputFileError(prefix + name, 0, exc.strerror)
-            _skip(failures, stem, f"parse error: {error}")
-            continue
-        by_review[stem] = sentences
-    return by_review
+    names = sorted(name for name in os.listdir(parse_dir) if name.endswith(".conllu"))
+    return {name[:-7] or name: prefix + name for name in names}
 
 
 def _write_file(path: str, text: str) -> None:
@@ -189,7 +180,7 @@ def _write_file(path: str, text: str) -> None:
 
 def run_pipeline(
     review_ids: Sequence[str],
-    parses: dict[str, list[ParsedSentence]],
+    parses: dict[str, str],
     graph: NatureGraph,
     lexicon: BeliefLexicon,
     client: LlmClient,
@@ -199,21 +190,22 @@ def run_pipeline(
     *,
     failures: list[tuple[str, str]],
 ) -> CorpusStats:
-    """Build one graph per ingested review id with sentences, write outputs and stats.
+    """Build one graph per ingested review id with a parse file, write outputs and stats.
 
     review_ids are ingest_reviews' ids, in file order; parses maps a review
-    id to its sentences, as load_parse_dir returns them. Graphs are built in the calling thread; workers is accepted and has no
-    effect. Per-review failures are logged, counted and appended to failures,
-    never abort the batch: a parse whose stem names no ingested or skipped
-    review is quarantined under that stem, and an ingested review with no
-    parse and no failure yet as "no parse file", before any graph is built.
-    Classifier verdicts that fail to parse skip just the affected event.
+    id to its parse file, as load_parse_dir lists them, read once when the
+    review is prepared. Graphs are built in the calling thread; workers is
+    accepted and has no effect. Per-review failures are logged, counted and
+    appended to failures, never abort the batch: first a parse file whose
+    stem names no ingested or skipped review, whatever it holds, and an
+    ingested review without one as "no parse file"; then, in review order,
+    a parse file that fails to read or parse and a review whose pipeline
+    fails. Classifier verdicts that fail to parse skip just the affected event.
     """
-    quarantined = {rid for rid, _ in failures}
-    for stem in sorted(set(parses) - set(review_ids) - quarantined):
+    for stem in sorted(set(parses) - set(review_ids) - {rid for rid, _ in failures}):
         _skip(failures, stem, f"parse file {stem}.conllu names no ingested or skipped review")
     for review_id in review_ids:
-        if review_id not in parses and review_id not in quarantined:
+        if review_id not in parses:
             _skip(failures, review_id, "no parse file")
 
     out_dir = Path(out_dir)
@@ -225,7 +217,7 @@ def run_pipeline(
     index_entries = []
     errors: dict[int, Exception] = {}
 
-    def finish(position: int, dag: MeaDag, answers: list[ActionClass | Exception]) -> None:
+    def finish(position: int, dag: MeaDag, sentence_count: int, answers: list[ActionClass | Exception]) -> None:
         in_event_order = iter(answers)  # link_actions asks about the events needs_classifier names, in order
 
         def classify(text: str) -> ActionClass | None:
@@ -258,17 +250,22 @@ def run_pipeline(
             stats.invalid_both_needs += 1
         else:
             stats.invalid_no_need += 1
-        index_entries.append({"review_id": review_id, "sentence_count": len(parses[review_id]), "valid": dag.valid})
+        index_entries.append({"review_id": review_id, "sentence_count": sentence_count, "valid": dag.valid})
 
     # Each prepared review is queued with its answers once they are all in, and
     # finished from the queue in the order answered, so a slow request holds back no other.
-    answered: SimpleQueue[tuple[int, MeaDag, list[ActionClass | Exception]]] = SimpleQueue()
+    answered: SimpleQueue[tuple[int, MeaDag, int, list[ActionClass | Exception]]] = SimpleQueue()
     open_reviews = 0
     for position, review_id in enumerate(work):
         try:
-            dag = prepare_mea_dag(review_id, parses[review_id], graph, lexicon)
+            try:
+                sentences = parse_conllu(parses[review_id])
+            except OSError as exc:  # a directory, a dangling link, an unreadable file
+                raise InputFileError(parses[review_id], 0, exc.strerror) from None
+            dag = prepare_mea_dag(review_id, sentences, graph, lexicon)
             texts = [event.text for event in dag.events if needs_classifier(event)]
-            client.classify_action_events(texts, lambda answers, review=(position, dag): answered.put((*review, answers)))
+            review = (position, dag, len(sentences))
+            client.classify_action_events(texts, lambda answers, review=review: answered.put((*review, answers)))
         except Exception as exc:  # quarantined per review
             errors[position] = exc
             continue
@@ -278,8 +275,9 @@ def run_pipeline(
             open_reviews -= 1
     for _ in range(open_reviews):
         finish(*answered.get())
-    for position in sorted(errors):  # failures in review order
-        _skip(failures, work[position], f"pipeline error: {errors[position]}")
+    for position in sorted(errors):  # failures in review order; only reading a parse raises InputFileError
+        kind = "parse" if isinstance(errors[position], InputFileError) else "pipeline"
+        _skip(failures, work[position], f"{kind} error: {errors[position]}")
 
     stats.failed_reviews = len(failures)
     stats.classifier_calls, stats.classifier_cache_hits = client.stats()
@@ -294,8 +292,8 @@ def run_pipeline(
 
 
 def _escape_controls(text: str) -> str:
-    """Write each control character as a \\xNN escape, so a log line never splits."""
-    return _CONTROL_CHAR.sub(lambda m: f"\\x{ord(m.group()):02x}", text)
+    """Write each control character as a \\xNN escape, and U+2028 and U+2029 as \\u2028 and \\u2029, so a log line never splits."""
+    return _LINE_BREAKING_CHAR.sub(lambda m: f"\\x{ord(m.group()):02x}" if m.group() <= "\xff" else f"\\u{ord(m.group()):04x}", text)
 
 
 def sample_for_evaluation(index_entries: Sequence[dict], n: int, seed: int) -> dict:

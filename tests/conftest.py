@@ -15,9 +15,10 @@ from mea.belief import (
     normalize_word,
 )
 from mea.dag import ActionClass
-from mea.extraction import FIRST_PERSON_LEMMAS, Combo, PerceptionLink, Tense
+from mea.extraction import FIRST_PERSON_LEMMAS, Combo, PerceptionLink, Tense, parse_conllu
 from mea.llm import ClientConfig, ClientMode, LlmClient
 from mea.nature import NODE_ORDER, NatureNodeId, default_graph, find_cycle, opposite_node, reachable
+from mea.runner import load_parse_dir
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,6 +61,23 @@ def sentence(rows):
         for i, (surface, lemma, xpos, head, deprel) in enumerate(rows, start=1)
     )
     return ParsedSentence(tokens)
+
+
+def write_parses(parse_dir: Path, sentences_by_review: dict) -> dict[str, str]:
+    """Write each review's sentences as <review id>.conllu in parse_dir; return the files as load_parse_dir lists them."""
+    parse_dir.mkdir(parents=True, exist_ok=True)
+    for review_id, sentences in sentences_by_review.items():
+        path = parse_dir / f"{review_id}.conllu"
+        path.write_text(
+            "\n".join(
+                f"# review_id = {review_id}\n"
+                + "".join(f"{t.index}\t{t.surface}\t{t.lemma}\t_\t{t.pos_tag}\t_\t{t.head}\t{t.deprel}\t_\t_\n" for t in s.tokens)
+                for s in sentences
+            ),
+            encoding="utf-8",
+        )
+        assert parse_conllu(path) == sentences  # the file reads back as the very sentences
+    return load_parse_dir(parse_dir, [])
 
 
 # --- reference graph serializer ---------------------------------------------

@@ -1,13 +1,20 @@
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
 from mea.cli import main
+from mea.extraction import extract_events, parse_conllu
 from mea.llm import load_template
 
 
@@ -92,13 +99,11 @@ def test_parse_file_naming_no_review_is_quarantined_and_named(tmp_path, form):
     if form == "well-formed":
         well_formed = (parses / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n")
         orphan.write_text(well_formed, encoding="utf-8")
-        reason = "parse file 999.conllu names no ingested or skipped review"
     elif form == "malformed":
         orphan.write_text("1\tfoo\n", encoding="utf-8")
-        reason = f"parse error: {orphan}:1: expected 10 tab-separated fields, got 2"
     else:
         orphan.write_text("", encoding="utf-8")
-        reason = "parse file 999.conllu names no ingested or skipped review"
+    reason = "parse file 999.conllu names no ingested or skipped review"  # by its name: the file is never read
     out = tmp_path / "out"
     args = run_args(out)
     args[args.index("--parses") + 1] = str(parses)
@@ -141,9 +146,12 @@ def test_a_review_without_a_parse_file_is_quarantined_once(tmp_path, malformed_3
     args[args.index("--reviews") + 1] = str(reviews)
     args[args.index("--parses") + 1] = str(parses)
     assert main(args) == 2
-    # A review whose parse file fails to parse keeps its one parse error line.
-    line_3 = f"3\tparse error: {parses / '3.conllu'}:2: token 1 has dangling head 9" if malformed_3 else "3\tno parse file"
-    assert (out / "failures.log").read_text(encoding="utf-8").splitlines() == [line_3, "4\tno parse file"]
+    # A review whose parse file fails to parse keeps its one parse error line, after every "no parse file".
+    if malformed_3:
+        lines = ["4\tno parse file", f"3\tparse error: {parses / '3.conllu'}:2: token 1 has dangling head 9"]
+    else:
+        lines = ["3\tno parse file", "4\tno parse file"]
+    assert (out / "failures.log").read_text(encoding="utf-8").splitlines() == lines
     assert json.loads((out / "stats.json").read_text(encoding="utf-8"))["failed_reviews"] == 2
     assert (out / "1.json").exists()
 
@@ -389,3 +397,91 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         trees.append((files, (run.stdout + compiled.stdout).replace(str(root), "ROOT")))
     assert trees[0] == trees[1]
     assert len(trees[0][0]) == 43  # 20 graphs as .json and .dot, index.json, stats.json, lexicon.tsv
+
+
+# --- whole-run accounting: each CSV row ends in exactly one place -------------
+
+ROW_IDS = ["1", "2", "3", "index", "stats", "../up", "a\\b", "..", "bell\x07", ""]
+ESCAPED_IDS = {"bell\x07": "bell\\x07"}  # as failures.log writes them
+# Every stem a parse file may have: each row id that can name a file, and two strays.
+PARSE_STEMS = [rid for rid in ROW_IDS if rid and "/" not in rid] + ["9", ".hidden"]
+_PARSE_1, _PARSE_4 = ((DATA / "corpus" / "parses" / f"{n}.conllu").read_text(encoding="utf-8") for n in (1, 4))
+PARSE_ENTRIES = {  # kind -> the bytes of the parse file of a stem, or None for a directory
+    "parse-1": lambda stem: _PARSE_1.replace("# review_id = 1\n", f"# review_id = {stem}\n").encode(),
+    "parse-4": lambda stem: _PARSE_4.replace("# review_id = 4\n", f"# review_id = {stem}\n").encode(),  # asks about "I buy it"
+    "other-review": lambda stem: _PARSE_1.replace("# review_id = 1\n", "# review_id = 0other\n").encode(),
+    "empty": lambda stem: b"",
+    "malformed": lambda stem: b"1\tfoo\n",
+    "non-utf8": lambda stem: b"# review_id = \xff\n",
+    "directory": lambda stem: None,
+}
+
+
+def run_hostile(root, rows, kinds, classifier):
+    """Write rows and a parse entry of each drawn kind under root; return the run's arguments."""
+    with open(root / "reviews.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["Id", "Text"], *rows])
+    parses = root / "parses"
+    parses.mkdir()
+    for stem, kind in kinds.items():
+        content = PARSE_ENTRIES[kind](stem)
+        if content is None:
+            (parses / f"{stem}.conllu").mkdir()
+        else:
+            (parses / f"{stem}.conllu").write_bytes(content)
+    args = run_args(root / "out", classifier="heuristic" if classifier == "heuristic" else "replay")
+    args[args.index("--reviews") + 1] = str(root / "reviews.csv")
+    args[args.index("--parses") + 1] = str(parses)
+    if classifier == "replay-partial":  # a fixture that lacks "I buy it"
+        lines = (DATA / "replay_classifier.jsonl").read_text(encoding="utf-8").splitlines()
+        fixture = root / "fixture.jsonl"
+        fixture.write_text("".join(line + "\n" for line in lines if json.loads(line)["input"] != "I buy it"), encoding="utf-8")
+        args[args.index("--replay-fixture") + 1] = str(fixture)
+    return args
+
+
+def tree(root, skip=None):
+    """Every path under root, but not under skip, with the bytes of each file."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+        if skip is None or (p != skip and skip not in p.parents)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(ROW_IDS), st.sampled_from(["I eat bread.", ""])), max_size=6),
+    kinds=st.dictionaries(st.sampled_from(PARSE_STEMS), st.sampled_from(sorted(PARSE_ENTRIES))),
+    classifier=st.sampled_from(["heuristic", "replay", "replay-partial"]),
+)
+# A review skipped at ingest whose parse file is malformed: one failure, not two.
+@example(rows=[("1", "I eat bread."), ("2", "")], kinds={"1": "parse-1", "2": "malformed"}, classifier="heuristic")
+def test_each_csv_row_ends_as_its_graph_a_review_without_events_or_one_failure(rows, kinds, classifier):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        args = run_hostile(root, rows, kinds, classifier)
+        inputs, out = tree(root), root / "out"
+        code = main(args)
+        outputs = tree(out)
+        assert main(args) == code
+        assert tree(out) == outputs  # a second run into the same --out writes the same bytes
+        assert tree(root, skip=out) == inputs  # and nothing outside --out
+        assert code == (2 if "failures.log" in outputs else 0)
+
+        logged = Counter(line.split("\t", 1)[0] for line in outputs.get("failures.log", b"").decode().splitlines())
+        graphs = {name[:-5] for name in outputs if name.endswith(".json")} - {"index", "stats"}
+        assert {e["review_id"] for e in json.loads(outputs["index.json"])} == graphs
+        row_count = Counter(rid for rid, _ in rows)
+        for rid, count in row_count.items():
+            failed = logged.pop(ESCAPED_IDS.get(rid, rid), 0)
+            without_events = count - failed - (rid in graphs)
+            assert without_events in (0, 1), rid
+            if rid in graphs:
+                assert json.loads(outputs[f"{rid}.json"])["review_id"] == rid
+            if without_events:  # the one row of a review whose parse holds no event
+                assert count == 1
+                assert not [e for s in parse_conllu(root / "parses" / f"{rid}.conllu") for e in extract_events(s)]
+        assert graphs <= set(row_count)
+        # Every other line names a stray: a parse file whose stem is no row's id, once.
+        assert logged == Counter(ESCAPED_IDS.get(stem, stem) for stem in kinds if stem not in row_count)

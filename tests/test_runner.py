@@ -7,6 +7,7 @@ import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 import mea.extraction
 import mea.llm
 import mea.runner
-from conftest import DATA, make_replay_client, sentence
+from conftest import DATA, make_replay_client, sentence, write_parses
 from mea import InputFileError
 from mea.belief import load_lexicon
-from mea.extraction import Tense, classify_tense, extract_events
+from mea.extraction import Tense, classify_tense, extract_events, parse_conllu
 from mea.llm import MAX_IN_FLIGHT, ClientConfig, ClientMode, LlmClient, LlmTransportError, load_template
 from mea.nature import default_graph
 from mea.runner import (
@@ -263,19 +264,18 @@ def test_empty_corpus_yields_zero_stats(data_dir, tmp_path):
     assert stats.valid_dags == 0
 
 
-ORPHAN_PARSES = {  # form -> (the text of 999.conllu, the parse error it gives, if any)
+ORPHAN_PARSES = {  # form -> the text of 999.conllu, a stray by its name whatever it holds
     "well-formed": (
-        (DATA / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n"),
-        None,
+        (DATA / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8").replace("# review_id = 1\n", "# review_id = 999\n")
     ),
-    "malformed": ("1\tfoo\n", ":1: expected 10 tab-separated fields, got 2"),
-    "empty": ("", None),
+    "malformed": "1\tfoo\n",
+    "empty": "",
 }
 
 
 @pytest.mark.parametrize("form", list(ORPHAN_PARSES))
 def test_unknown_parse_review_id_is_quarantined(data_dir, tmp_path, form):
-    text, parse_error = ORPHAN_PARSES[form]
+    text = ORPHAN_PARSES[form]
     parse_dir = tmp_path / "parses"
     shutil.copytree(data_dir / "corpus" / "parses", parse_dir)
     (parse_dir / "999.conllu").write_text(text, encoding="utf-8")
@@ -286,27 +286,31 @@ def test_unknown_parse_review_id_is_quarantined(data_dir, tmp_path, form):
     stats = run_pipeline(
         reviews, parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), make_replay_client(), out, failures=failures
     )
-    if parse_error:
-        reason = f"parse error: {parse_dir / '999.conllu'}{parse_error}"
-    else:
-        reason = "parse file 999.conllu names no ingested or skipped review"
-    assert failures == [("999", reason)]
+    assert failures == [("999", "parse file 999.conllu names no ingested or skipped review")]
     assert stats.failed_reviews == 1
     assert len([p for p in out.glob("*.json") if p.stem not in ("index", "stats")]) == 20
 
 
-def test_an_empty_parse_file_is_a_review_without_sentences(data_dir, tmp_path):
+def test_an_empty_parse_file_is_a_review_without_sentences(data_dir, tmp_path, monkeypatch):
     parse_dir = tmp_path / "parses"
     shutil.copytree(data_dir / "corpus" / "parses", parse_dir)
     (parse_dir / "5.conllu").write_text("", encoding="utf-8")
+    read = {}
+
+    def parse_conllu(path):
+        read[Path(path).stem] = sentences = real_parse_conllu(path)
+        return sentences
+
+    real_parse_conllu = mea.runner.parse_conllu
+    monkeypatch.setattr(mea.runner, "parse_conllu", parse_conllu)
     failures = []
     reviews = ingest_reviews(data_dir / "corpus" / "reviews.csv", "csv", failures)
     parses = load_parse_dir(parse_dir, failures)
-    assert parses["5"] == []
     out = tmp_path / "out"
     stats = run_pipeline(
         reviews, parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), make_replay_client(), out, failures=failures
     )
+    assert read["5"] == []
     assert failures == [] and stats.reviews_with_events == 19
     assert not (out / "5.json").exists()
 
@@ -325,7 +329,8 @@ def test_each_action_event_is_linked_by_its_own_answer(data_dir, tmp_path, live_
     else:
         client = live_client(lambda config, prompt: "social" if "recommend" in prompt else "physical", None)
     out = tmp_path / "out"
-    run_pipeline(["r"], {"r": parse}, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=[])
+    parses = write_parses(tmp_path / "parses", {"r": parse})
+    run_pipeline(["r"], parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=[])
     doc = json.loads((out / "r.json").read_text(encoding="utf-8"))
     assert {"social_action", "physical_action"} <= set(doc["activated"])
     actions = [(link["event_id"], link["node"], link["justification"]) for link in doc["links"] if link["node"].endswith("_action")]
@@ -451,6 +456,14 @@ def test_failures_log_has_one_line_per_failure(data_dir, tmp_path):
     assert log_lines == [f"{rid}\t{reason}" for rid, (_, reason) in zip(escaped, failures)]
 
 
+def test_failures_log_escapes_the_unicode_line_and_paragraph_separators(data_dir, tmp_path):
+    ids = ["a\u2028b", "c\u2029d", "a\u2028b", "c\u2029d"]  # safe in a file name, so quarantined as repeated Ids
+    stats, failures = run_csv_corpus(data_dir, tmp_path, [(rid, "I bought this brand.") for rid in ids], {})
+    assert failures == [(rid, "Id appears in 2 rows") for rid in ids]
+    log_lines = (tmp_path / "run" / "out" / "failures.log").read_text(encoding="utf-8").splitlines()
+    assert log_lines == [f"{rid}\tId appears in 2 rows" for rid in ["a\\u2028b", "c\\u2029d", "a\\u2028b", "c\\u2029d"]]
+
+
 _ID_CHARS = (
     st.sampled_from([".", "/", "\\", "\t", "\x07", "\x85"])
     | st.characters(categories=["L"], min_codepoint=0x80)
@@ -459,10 +472,15 @@ _ID_CHARS = (
 
 
 @settings(max_examples=30, deadline=None)
-@given(ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=8) | st.sampled_from(["index", "stats", "failures"]), min_size=1, max_size=4))
-@example(ids=["../up", "a\\b", "..", "\x85x"])  # random ids seldom climb out, so one always tries
-@example(ids=["index", "stats", "failures"])  # the ids whose <id>.json a run writes for itself, and one it does not
-def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
+@given(
+    ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=8) | st.sampled_from(["index", "stats", "failures"]), min_size=1, max_size=4),
+    # Stems of parse files beside the ids' own: strays, dot-files and names no id has.
+    stems=st.lists(st.text(_ID_CHARS.filter(lambda c: c != "/"), max_size=8) | st.sampled_from([".hidden", "..", "."]), max_size=3),
+)
+@example(ids=["../up", "a\\b", "..", "\x85x"], stems=[])  # random ids seldom climb out, so one always tries
+@example(ids=["index", "stats", "failures"], stems=[])  # the ids whose <id>.json a run writes for itself, and one it does not
+@example(ids=["1"], stems=["..", ".", "", ".hidden"])  # the files ...conllu, ..conllu, .conllu and .hidden.conllu
+def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids, stems):
     parse_1 = (DATA / "corpus" / "parses" / "1.conllu").read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -470,20 +488,29 @@ def test_no_csv_id_makes_the_run_write_outside_out_dir(lexicon, ids):
             csv.writer(fh).writerows([["Id", "Text"]] + [[rid, "I bought this brand."] for rid in ids])
         (root / "parses").mkdir()
         inputs = {"reviews.csv", "parses"}
-        for rid in ids:
-            # A parse is named after its id, so no id holding / can have one, nor one that no
-            # review_id comment can carry.
-            if "/" not in rid and len(rid.splitlines()) == 1 and rid == rid.strip():
-                text = parse_1.replace("# review_id = 1\n", f"# review_id = {rid}\n")
-                (root / "parses" / f"{rid}.conllu").write_text(text, encoding="utf-8")
-                inputs.add(f"parses/{rid}.conllu")
+        # A parse is named after its id, so no id holding / can have one, nor one that no
+        # review_id comment can carry. A drawn stem that names no id's file is a stray.
+        own = [rid for rid in ids if "/" not in rid and len(rid.splitlines()) == 1 and rid == rid.strip()]
+        for stem in own + [stem for stem in stems if stem not in own]:
+            text = parse_1.replace("# review_id = 1\n", f"# review_id = {stem}\n")
+            (root / "parses" / f"{stem}.conllu").write_text(text, encoding="utf-8")
+            inputs.add(f"parses/{stem}.conllu")
         out = root / "run" / "deep" / "out"  # an id of 8 characters climbs at most 3 levels: still under root
-        failures = []
+        failures, read = [], []
+
+        def parse_conllu(path):
+            read.append(path)
+            return real_parse_conllu(path)
+
+        real_parse_conllu = mea.runner.parse_conllu
         reviews = ingest_reviews(root / "reviews.csv", "csv", failures)
         parses = load_parse_dir(root / "parses", failures)
-        run_pipeline(reviews, parses, default_graph(), lexicon, make_replay_client(), out, write_dot=True, failures=failures)
+        with mock.patch.object(mea.runner, "parse_conllu", parse_conllu):
+            run_pipeline(reviews, parses, default_graph(), lexicon, make_replay_client(), out, write_dot=True, failures=failures)
         written = {p.relative_to(root).as_posix() for p in root.rglob("*") if out not in p.parents}
         assert written == inputs | {"run", "run/deep", "run/deep/out"}
+        # The run reads each ingested review's own file once, and no other.
+        assert sorted(read) == sorted(str(path) for rid in reviews if (path := root / "parses" / f"{rid}.conllu").is_file())
         for review_id in reviews:  # each graph is its own review's, not overwritten by a run file
             if review_id in parses:
                 assert json.loads((out / f"{review_id}.json").read_text(encoding="utf-8"))["review_id"] == review_id
@@ -499,9 +526,26 @@ def test_non_utf8_parse_file_quarantines_only_its_review(data_dir, tmp_path):
         b"3\tcr\xe8pes\tcr\xe8pe\tNOUN\tNNS\t_\t2\tdobj\t_\t_\n"
     )
     failures = []
-    parses = load_parse_dir(tmp_path, failures)
-    assert list(parses) == ["1"]
+    out = tmp_path / "out"
+    run_pipeline(
+        ["1", "2"], load_parse_dir(tmp_path, failures), default_graph(), load_lexicon(data_dir / "lexicon.tsv"),
+        make_replay_client(), out, failures=failures,
+    )
+    assert sorted(p.stem for p in out.glob("*.json")) == ["1", "index", "stats"]
     assert failures == [("2", f"parse error: {tmp_path / '2.conllu'}:4: not valid UTF-8")]
+
+
+def test_listing_parse_files_reads_none_of_them(tmp_path, monkeypatch):
+    monkeypatch.setattr(mea.runner, "parse_conllu", lambda path: pytest.fail(f"{path} was read"))
+    (tmp_path / "malformed.conllu").write_text("1\tfoo\n", encoding="utf-8")
+    (tmp_path / "non-utf8.conllu").write_bytes(b"# review_id = \xff\n")
+    (tmp_path / "other.conllu").write_text("# review_id = 1\n", encoding="utf-8")
+    (tmp_path / "directory.conllu").mkdir()
+    (tmp_path / "dangling.conllu").symlink_to(tmp_path / "nowhere.conllu")
+    failures = []
+    names = ["dangling", "directory", "malformed", "non-utf8", "other"]
+    assert load_parse_dir(tmp_path, failures) == {stem: str(tmp_path / f"{stem}.conllu") for stem in names}
+    assert failures == []
 
 
 def test_the_parse_listing_selects_and_orders_as_glob_does(data_dir, tmp_path):
@@ -672,11 +716,11 @@ def classifier_texts(parses):
     return {
         review_id: [
             event.text
-            for s in sentences
+            for s in parse_conllu(path)
             for event in extract_events(s)
             if event.pattern_id != "STATE" and classify_tense(event) is not Tense.PAST
         ]
-        for review_id, sentences in parses.items()
+        for review_id, path in parses.items()
     }
 
 
@@ -894,7 +938,7 @@ def test_pipeline_errors_are_logged_in_review_order_when_a_later_review_fails_fi
 
     failures = []
     reviews = ["slow", "fast"]
-    parses = {"slow": parse("juggle"), "fast": parse("whistle")}
+    parses = write_parses(tmp_path / "parses", {"slow": parse("juggle"), "fast": parse("whistle")})
     out = tmp_path / "out"
     client = live_client(transport, None)
     run_pipeline(reviews, parses, default_graph(), load_lexicon(data_dir / "lexicon.tsv"), client, out, failures=failures)
